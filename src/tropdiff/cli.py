@@ -13,7 +13,7 @@ import sys
 
 from . import examples as fixtures
 from .diffpoly import DiffSystem
-from .errors import CandidateCapError, TropdiffError
+from .errors import TropdiffError
 from .field import FieldSpec
 from .lattice import as_point
 from .textio import (
@@ -36,17 +36,17 @@ from .textio import (
     vertex_set_to_json,
 )
 from .troppoly import (
+    DEFAULT_CANDIDATE_CAP,
     enumerate_solutions,
     is_solution_system,
     tropicalize,
     tropicalize_sample,
 )
 
-DEFAULT_CAP = 100_000
-
 
 def _context(args) -> ParseContext:
-    field = FieldSpec(args.sqrt) if getattr(args, "sqrt", None) else FieldSpec()
+    sqrt = getattr(args, "sqrt", None)
+    field = FieldSpec() if sqrt is None else FieldSpec(sqrt)
     return ParseContext(arity=args.arity, nvars=args.nvars, field=field)
 
 
@@ -161,7 +161,7 @@ def cmd_enumerate(args) -> int:
     box = _parse_multi_index(args.box, ctx.arity)
     cap = args.max_candidates
     if cap is None:
-        cap = int(os.environ.get("TROPDIFF_MAX_CANDIDATES", DEFAULT_CAP))
+        cap = int(os.environ.get("TROPDIFF_MAX_CANDIDATES", DEFAULT_CANDIDATE_CAP))
     solutions = enumerate_solutions(
         sample, box, args.max_points, nvars=ctx.nvars, max_candidates=cap
     )
@@ -279,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CandidateCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TropdiffError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,8 @@ are nonnegative rationals lambda_c summing to 1 with
 
     sum_c lambda_c * c  <=  p   componentwise.
 
-All arithmetic is done with `fractions.Fraction`; there are no tolerances
+The LP runs a fraction-free simplex on an integer tableau (Bareiss-style
+pivoting over the previous pivot); there are no floats and no tolerances
 anywhere.  The vertex set of C consists of the points of C that do not lie
 in the Newton polygon of the remaining points; it is always an antichain
 under the componentwise order and spans the same Newton polygon as C.
@@ -15,7 +16,6 @@ under the componentwise order and spans the same Newton polygon as C.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -73,60 +73,60 @@ def minimal_elements(points: Iterable[Point]) -> tuple[Point, ...]:
 
 
 def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
-    """Exact phase-1 simplex with Bland's rule.
+    """Exact phase-1 simplex with Bland's rule, fraction-free.
 
     Decides feasibility of { lambda >= 0, sum lambda = 1,
     sum_j lambda_j cols[j] + v = target, v >= 0 }.  The m slack rows start
     basic; a single artificial variable covers the convexity row, and the
     system is feasible iff the artificial can be driven to zero.
+
+    The tableau is kept in integers over the common denominator `det`, the
+    previous pivot (Bareiss 1968, Edmonds 1967): every stored entry is a
+    minor of the initial tableau, so each update divides exactly, and
+    `det` stays positive, so stored signs are the true signs.
     """
     m = len(target)
     n = len(cols)
     width = n + m + 1  # lambdas, slacks, artificial; rhs sits at index `width`
-    zero = Fraction(0)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for i in range(m):
-        row = [Fraction(c[i]) for c in cols] + [zero] * (m + 1) + [Fraction(target[i])]
-        row[n + i] = Fraction(1)
+        row = [c[i] for c in cols] + [0] * (m + 1) + [target[i]]
+        row[n + i] = 1
         rows.append(row)
-    conv = [Fraction(1)] * n + [zero] * m + [Fraction(1), Fraction(1)]
+    conv = [1] * n + [0] * m + [1, 1]
     rows.append(conv)
     basis = list(range(n, n + m)) + [n + m]
 
     # Reduced-cost row for "minimize artificial", priced out of the basis.
-    obj = [zero] * (width + 1)
-    obj[n + m] = Fraction(1)
-    obj = [o - r for o, r in zip(obj, conv)]
+    obj = [-v for v in conv]
+    obj[n + m] = 0
+    det = 1
 
     while True:
         enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
             return obj[width] == 0
         leave = -1
-        best_ratio = None
-        best_var = None
+        best_rhs = best_a = best_var = 0
         for i in range(m + 1):
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][width] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < best_var)
-                ):
-                    best_ratio, best_var, leave = ratio, basis[i], i
+                rhs = rows[i][width]
+                # ratio rhs/a against best_rhs/best_a, both denominators > 0
+                cross = rhs * best_a - best_rhs * a
+                if leave < 0 or cross < 0 or (cross == 0 and basis[i] < best_var):
+                    best_rhs, best_a, best_var, leave = rhs, a, basis[i], i
         if leave < 0:  # objective bounded below by 0, so this cannot happen
             return False
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
         prow = rows[leave]
+        piv = prow[enter]
         for i in range(m + 1):
-            f = rows[i][enter]
-            if i != leave and f:
-                rows[i] = [v - f * w for v, w in zip(rows[i], prow)]
+            if i != leave:
+                f = rows[i][enter]
+                rows[i] = [(piv * v - f * w) // det for v, w in zip(rows[i], prow)]
         f = obj[enter]
-        if f:
-            obj = [v - f * w for v, w in zip(obj, prow)]
+        obj = [(piv * v - f * w) // det for v, w in zip(obj, prow)]
+        det = piv
         basis[leave] = enter
 
 
@@ -134,7 +134,7 @@ def member_newton(p: Iterable[int], points: Iterable[Iterable[int]]) -> bool:
     """Exact test for p in N(points), the Newton polygon of a finite set.
 
     The empty set has an empty Newton polygon.  Dominance (some c <= p) is
-    checked first; the general case runs the exact rational LP.
+    checked first; the general case runs the exact fraction-free LP.
     """
     pts = canon(points)
     if not pts:

@@ -32,9 +32,7 @@ from .lattice import (
     as_point,
     canon,
     leq,
-    member_newton,
     minimal_elements,
-    unit,
 )
 from .tropical import VertexSet
 
@@ -188,21 +186,13 @@ class SupportSet:
     def vertices(self) -> VertexSet:
         """Vertex set of the denoted (possibly infinite) staircase set.
 
-        A cone generator g contributes the finite surrogate {g+e_1,...,g+e_m}
-        for the rest of its orthant: the punctured orthant is covered by the
-        orthants over those points, so the Newton polygons agree.
+        N(explicit + cones) already contains every cone's orthant, so these
+        are the vertices of the finite set of generators and explicit
+        points, found by `vertices_of_finite` with its fraction-free integer
+        simplex.  Passing the minimal antichain keeps the cache key small
+        and shared by the many sets that differ only in dominated points.
         """
-        candidates = minimal_elements(self.explicit + self.cones)
-        cone_set = set(self.cones)
-        out = []
-        for x in candidates:
-            rest = [y for y in self.explicit if y != x]
-            rest += [g for g in self.cones if g != x]
-            if x in cone_set:
-                rest += [add(x, unit(self.arity, k)) for k in range(1, self.arity + 1)]
-            if not member_newton(x, rest):
-                out.append(x)
-        return VertexSet(self.arity, tuple(out))
+        return VertexSet(self.arity, minimal_elements(self.explicit + self.cones))
 
     def val(self, shift: Iterable[int]) -> VertexSet:
         """Vertex set of the tropical derivative: Val_J(S) = Vert(shift of S)."""

@@ -80,12 +80,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# Each parenthesis level costs four parser frames; this bound keeps deep
+# input far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, ctx: ParseContext):
         self.text = text
         self.ctx = ctx
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # --- token plumbing
 
@@ -218,8 +224,14 @@ class _Parser:
                 return self._const_poly(self.ctx.field(Fraction(num, den)))
             return self._const_poly(self.ctx.field(num))
         if kind == "sym" and val == "(":
+            if self.depth >= MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.text, pos
+                )
             self.advance()
+            self.depth += 1
             poly = self.parse_expr(allow_x)
+            self.depth -= 1
             self.expect_sym(")")
             return poly
         if kind == "name":

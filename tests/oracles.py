@@ -5,6 +5,13 @@ simplex: the lower-left boundary of conv(C) + R^2_>=0 is a union of
 segments between points of C, so it is enough to intersect, for every
 pair, the interval of mixing weights that keeps the combination below the
 query point.
+
+`member_newton_fraction` decides membership in any arity with a phase-1
+simplex over `Fraction`, normalizing the pivot row at each step, and
+`vertices_by_surrogates` computes the vertex set of a staircase set with
+the finite surrogate {g+e_1,...,g+e_m} for each cone generator g.  Both are
+kept as references for the fraction-free simplex and for the vertex
+routine shared by finite and staircase sets.
 """
 
 from __future__ import annotations
@@ -56,3 +63,81 @@ def grid_box(points, pad: int = 2):
     m = len(pts[0])
     b = max(max(p[k] for p in pts) for k in range(m)) + pad
     return list(product(range(b + 1), repeat=m))
+
+
+def _phase1_feasible_fraction(cols, target) -> bool:
+    m = len(target)
+    n = len(cols)
+    width = n + m + 1  # lambdas, slacks, artificial; rhs sits at index `width`
+    zero = Fraction(0)
+    rows = []
+    for i in range(m):
+        row = [Fraction(c[i]) for c in cols] + [zero] * (m + 1) + [Fraction(target[i])]
+        row[n + i] = Fraction(1)
+        rows.append(row)
+    conv = [Fraction(1)] * n + [zero] * m + [Fraction(1), Fraction(1)]
+    rows.append(conv)
+    basis = list(range(n, n + m)) + [n + m]
+    obj = [zero] * (width + 1)
+    obj[n + m] = Fraction(1)
+    obj = [o - r for o, r in zip(obj, conv)]
+    while True:
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            return obj[width] == 0
+        leave, best_ratio, best_var = -1, None, None
+        for i in range(m + 1):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][width] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < best_var)
+                ):
+                    best_ratio, best_var, leave = ratio, basis[i], i
+        if leave < 0:
+            return False
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        prow = rows[leave]
+        for i in range(m + 1):
+            f = rows[i][enter]
+            if i != leave and f:
+                rows[i] = [v - f * w for v, w in zip(rows[i], prow)]
+        f = obj[enter]
+        if f:
+            obj = [v - f * w for v, w in zip(obj, prow)]
+        basis[leave] = enter
+
+
+def member_newton_fraction(p, points) -> bool:
+    """p in N(points) by dominance, then the `Fraction` phase-1 simplex."""
+    pts = sorted(set(map(tuple, points)))
+    if not pts:
+        return False
+    p = tuple(p)
+    if any(all(a <= b for a, b in zip(c, p)) for c in pts):
+        return True
+    return _phase1_feasible_fraction(tuple(pts), p)
+
+
+def vertices_by_surrogates(arity, explicit, cones) -> tuple:
+    """Vertices of explicit + (cones + Z^m_>=0), each cone g tested with
+    the surrogate points g+e_k standing in for the rest of its orthant."""
+    cones = set(map(tuple, cones))
+    pts = sorted(set(map(tuple, explicit)) | cones)
+    candidates = [
+        x for x in pts
+        if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in pts)
+    ]
+    out = []
+    for x in candidates:
+        rest = [y for y in pts if y != x]
+        if x in cones:
+            rest += [
+                tuple(c + (i == k) for i, c in enumerate(x)) for k in range(arity)
+            ]
+        if not member_newton_fraction(x, rest):
+            out.append(x)
+    return tuple(out)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -226,3 +229,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["trop", "-m", "2"])
         assert exc.value.code == 2
+
+    def test_sqrt_zero_is_a_field_error(self, capsys):
+        code, out, err = run(capsys, "trop", "-m", "1", "--sqrt", "0",
+                             "--poly", "x1[0]")
+        assert code == 2 and out == ""
+        assert "nonsquare" in err
+
+    def test_deep_nesting_exit_2_without_traceback(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        poly = "(" * 3000 + "x1[0]" + ")" * 3000
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropdiff", "trop", "-m", "1", "--poly", poly],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "nested deeper" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 from tropdiff import ArityError, member_newton, minimal_elements, staircase_hull_2d, vertices_of_finite
 
 from gen import rand_point, rand_points
-from oracles import grid_box, member_2d, vertices_by_definition
+from oracles import grid_box, member_2d, member_newton_fraction, vertices_by_definition
 
 points_2d = st.lists(
     st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=0, max_size=8
 )
+
+
+def near_simplex(rng, m, c):
+    """A point with coordinate sum c, raised by up to c/100 per coordinate."""
+    cuts = sorted(rng.randint(0, c) for _ in range(m - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [c])]
+    return tuple(x + rng.randint(0, c // 100) for x in parts)
 
 
 class TestMemberNewton:
@@ -38,6 +45,29 @@ class TestMemberNewton:
             pts = rand_points(rng, 2, 8, 6)
             p = rand_point(rng, 2, 10)
             assert member_newton(p, pts) == member_2d(p, pts), (p, pts)
+
+
+    def test_against_fraction_simplex_large_coordinates(self):
+        # points near the hyperplane sum(x) = 10^6 and targets near a convex
+        # combination of them: most cases reach the LP, with large pivots
+        # and minors, and both verdicts occur
+        rng = random.Random(2024)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            pts = [near_simplex(rng, m, 10**6) for _ in range(rng.randint(1, 25))]
+            picks = rng.sample(pts, min(len(pts), rng.randint(2, m + 1)))
+            weights = [rng.randint(1, 1000) for _ in picks]
+            total = sum(weights)
+            p = tuple(
+                max(0, sum(w * q[k] for w, q in zip(weights, picks)) // total
+                    + rng.randint(-10**4, 10**4))
+                for k in range(m)
+            )
+            got = member_newton(p, pts)
+            assert got == member_newton_fraction(p, pts), (p, pts)
+            seen[got] += 1
+        assert min(seen.values()) >= 75, seen
 
 
 class TestVerticesOfFinite:

@@ -5,7 +5,7 @@ import pytest
 from tropdiff import ArityError, SupportSet, VertexSet, member_newton
 
 from gen import rand_point, rand_series, rand_support
-from oracles import grid_box
+from oracles import grid_box, vertices_by_surrogates
 
 
 def S(m, explicit=(), cones=()):
@@ -218,3 +218,12 @@ class TestSemiringOnDenotedSets:
             pts = s.explicit + s.cones
             for p in grid_box(pts):
                 assert member_newton(p, pts) == member_newton(p, v.points)
+
+    def test_vertices_match_surrogate_oracle(self):
+        # the retired per-candidate LP with g+e_k surrogates for each cone
+        rng = random.Random(37)
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            s = rand_support(rng, m, hi=8, kmax=6, cone_prob=0.8)
+            expected = vertices_by_surrogates(m, s.explicit, s.cones)
+            assert s.vertices().points == expected, s

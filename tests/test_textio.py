@@ -25,6 +25,7 @@ from tropdiff import (
     tropicalize,
 )
 from tropdiff.textio import (
+    MAX_NESTING,
     diff_poly_to_json,
     report_to_json,
     series_to_json,
@@ -77,6 +78,14 @@ class TestParseDiffPoly:
     def test_sqrtd_requires_quadratic_field(self):
         with pytest.raises(ParseError):
             parse_diff_poly("sqrtd*x1[0,0]", ParseContext(arity=2, nvars=2))
+
+    def test_nesting_limit(self):
+        ctx = ParseContext(arity=1, nvars=1)
+        deepest = "(" * MAX_NESTING + "x1[0]" + ")" * MAX_NESTING
+        assert parse_diff_poly(deepest, ctx) == parse_diff_poly("x1[0]", ctx)
+        with pytest.raises(ParseError) as exc:
+            parse_diff_poly("(" + deepest + ")", ctx)
+        assert exc.value.pos == MAX_NESTING
 
     def test_x_refused_in_series(self):
         with pytest.raises(ParseError):
