@@ -22,7 +22,7 @@ from .lattice import (
     staircase_hull_2d,
     vertices_of_finite,
 )
-from .supports import SupportSet, val
+from .supports import SupportSet
 from .tropical import VertexSet
 from .series import PowerSeries
 from .diffpoly import DerivativeKey, DiffMonomial, DiffPolynomial, DiffSystem
@@ -72,7 +72,6 @@ __all__ = [
     "staircase_hull_2d",
     "vertices_of_finite",
     "SupportSet",
-    "val",
     "VertexSet",
     "PowerSeries",
     "DerivativeKey",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 for success (and solution: true), 1 for solution: false,
-2 for usage, parse, or capacity errors.
+2 for usage, parse, or capacity errors, and for any internal error.
 """
 
 from __future__ import annotations
@@ -281,6 +281,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (TropdiffError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Last resort: exit code 1 means "solution: false", so an internal
+        # error must never end in 0 or 1, nor in a traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

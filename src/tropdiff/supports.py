@@ -20,9 +20,7 @@ they are componentwise identical, so `==` is semantic equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import ArityError
@@ -37,36 +35,29 @@ from .lattice import (
 from .tropical import VertexSet
 
 
-def _member_raw(q: Point, explicit: frozenset[Point], cones: tuple[Point, ...]) -> bool:
-    return q in explicit or any(leq(g, q) for g in cones)
-
-
 def _orthant_contained(p: Point, explicit: frozenset[Point], cones: tuple[Point, ...]) -> bool:
     """Exact decision of (p + Z^m_>=0) subset-of (explicit + cones).
 
-    Points beyond the componentwise bound B (max over all generator,
-    explicit and p coordinates, plus one) can be capped back onto the
-    boundary layer without leaving either side, so scanning the box [p, B]
-    is a complete test.
+    Walks upward from p through the points no cone covers.  A point a cone
+    covers has its whole orthant in the set, so it is not expanded; any
+    other point must be explicit, and its neighbours q + e_k are visited in
+    turn.  A point outside the set is reached by a monotone path from p
+    that no cone covers, so the walk finds it.  It visits at most about
+    |explicit|*(m+1) points, whatever the size of the coordinates.
     """
-    if not cones:
-        return False  # an orthant is infinite, the explicit part is not
-    m = len(p)
-    # cheap necessary condition before the box scan
-    for k in range(m):
-        q = list(p)
-        q[k] += 1
-        if not _member_raw(tuple(q), explicit, cones):
+    stack = [p]
+    seen = {p}
+    while stack:
+        q = stack.pop()
+        if any(leq(g, q) for g in cones):
+            continue
+        if q not in explicit:
             return False
-    hi = []
-    for k in range(m):
-        b = max(g[k] for g in cones)
-        for e in explicit:
-            b = max(b, e[k])
-        hi.append(max(b, p[k]) + 1)
-    for q in itertools.product(*(range(p[k], hi[k] + 1) for k in range(m))):
-        if not _member_raw(q, explicit, cones):
-            return False
+        for k in range(len(q)):
+            r = q[:k] + (q[k] + 1,) + q[k + 1:]
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
     return True
 
 
@@ -164,6 +155,14 @@ class SupportSet:
                 break
         return acc
 
+    def _shifted(self, shift: Iterable[int]) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+        j = as_point(shift, self.arity)
+        expl = tuple(
+            tuple(a - b for a, b in zip(t, j)) for t in self.explicit if leq(j, t)
+        )
+        gens = tuple(tuple(max(a - b, 0) for a, b in zip(g, j)) for g in self.cones)
+        return expl, gens
+
     def trop_derivative(self, shift: Iterable[int]) -> "SupportSet":
         """Translate by -shift and keep the nonnegative part.
 
@@ -171,32 +170,29 @@ class SupportSet:
         generator is clamped at zero componentwise, since the shifted
         orthant always meets the lattice.
         """
-        j = as_point(shift, self.arity)
-        expl = tuple(
-            tuple(t[k] - j[k] for k in range(self.arity))
-            for t in self.explicit
-            if all(t[k] >= j[k] for k in range(self.arity))
-        )
-        gens = tuple(
-            tuple(max(g[k] - j[k], 0) for k in range(self.arity))
-            for g in self.cones
-        )
-        return SupportSet(self.arity, expl, gens)
+        return SupportSet(self.arity, *self._shifted(shift))
 
     def vertices(self) -> VertexSet:
         """Vertex set of the denoted (possibly infinite) staircase set.
 
         N(explicit + cones) already contains every cone's orthant, so these
         are the vertices of the finite set of generators and explicit
-        points, found by `vertices_of_finite` with its fraction-free integer
-        simplex.  Passing the minimal antichain keeps the cache key small
+        points, found by the one cached vertex routine of `lattice` with
+        its fraction-free integer simplex.  Passing the minimal antichain keeps the cache key small
         and shared by the many sets that differ only in dominated points.
         """
         return VertexSet(self.arity, minimal_elements(self.explicit + self.cones))
 
     def val(self, shift: Iterable[int]) -> VertexSet:
-        """Vertex set of the tropical derivative: Val_J(S) = Vert(shift of S)."""
-        return _val_cached(self, as_point(shift, self.arity))
+        """Vertex set of the tropical derivative: Val_J(S) = Vert(shift of S).
+
+        Built from the shifted explicit points and clamped generators
+        without normalizing them into a SupportSet first: normalization
+        only drops points inside cones and reshapes the generators, so the
+        Newton polygon, and with it the vertex set, is unchanged.
+        """
+        expl, gens = self._shifted(shift)
+        return VertexSet(self.arity, expl + gens)
 
     def bound(self) -> Point:
         """Componentwise max over all explicit points and generators (0 if empty)."""
@@ -205,11 +201,3 @@ class SupportSet:
             return (0,) * self.arity
         return tuple(max(p[k] for p in pts) for k in range(self.arity))
 
-
-@lru_cache(maxsize=1 << 14)
-def _val_cached(s: SupportSet, j: Point) -> VertexSet:
-    return s.trop_derivative(j).vertices()
-
-
-def val(shift: Iterable[int], s: SupportSet) -> VertexSet:
-    return s.val(shift)

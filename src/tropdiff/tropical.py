@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ArityError
-from .lattice import Point, add, as_point, canon, vertices_of_finite
+from .lattice import Point, _vertices_cached, add, as_point, canon
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ class VertexSet:
             raise ArityError(
                 f"points of arity {len(pts[0])} in a VertexSet of arity {self.arity}"
             )
-        object.__setattr__(self, "points", vertices_of_finite(pts))
+        # pts is canonical already: skip the second canon in vertices_of_finite
+        object.__setattr__(self, "points", _vertices_cached(pts))
 
     @classmethod
     def empty(cls, arity: int) -> "VertexSet":

@@ -235,6 +235,15 @@ def enumerate_solutions(
     candidate count exceeds `max_candidates`.  Output order is
     deterministic: per component, subsets by size then lexicographic point
     list, and tuples in product order (last component fastest).
+
+    `is_solution(p, S)` reads S only through Val_J(S_i) for the derivative
+    keys x_{i,J} that p mentions, so its verdict is a function of p's
+    signature: those vertex sets over p's sorted keys.  The scan fills one
+    shift -> Val_J table per component on first use and calls
+    `is_solution` once per distinct signature of each polynomial; every
+    other candidate reuses the memoized verdict, which is exact.
+    Polynomials are tried in order and the first false verdict ends a
+    candidate, as in the plain scan.
     """
     box = tuple(int(b) for b in box)
     if any(b < 0 for b in box):
@@ -260,9 +269,31 @@ def enumerate_solutions(
         for combo in itertools.combinations(grid, k):
             component.append(SupportSet(arity, combo))
 
+    # Lazy per-component valuation tables (shift J -> Val_J points) and one
+    # verdict memo per polynomial, keyed by its signature.
+    tables: list[dict[Point, tuple[Point, ...]]] = [{} for _ in component]
+    keyed = [
+        (p, sorted({key for mono in p.monomials() for key, _ in mono.exponents}), {})
+        for p in polys
+    ]
+
+    def valuation(c: int, shift: Point) -> tuple[Point, ...]:
+        table = tables[c]
+        v = table.get(shift)
+        if v is None:
+            v = table[shift] = component[c].val(shift).points
+        return v
+
     out = []
-    for candidate in itertools.product(component, repeat=nvars):
-        ok = all(is_solution(p, candidate).solution for p in polys)
-        if ok:
-            out.append(candidate)
+    for idx in itertools.product(range(len(component)), repeat=nvars):
+        for p, keys, memo in keyed:
+            sig = tuple(valuation(idx[k.var - 1], k.index) for k in keys)
+            verdict = memo.get(sig)
+            if verdict is None:
+                candidate = tuple(component[c] for c in idx)
+                verdict = memo[sig] = is_solution(p, candidate).solution
+            if not verdict:
+                break
+        else:
+            out.append(tuple(component[c] for c in idx))
     return out

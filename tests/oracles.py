@@ -12,12 +12,16 @@ simplex over `Fraction`, normalizing the pivot row at each step, and
 the finite surrogate {g+e_1,...,g+e_m} for each cone generator g.  Both are
 kept as references for the fraction-free simplex and for the vertex
 routine shared by finite and staircase sets.
+
+`orthant_contained_box` is the retired box scan for the orthant-promotion
+test of staircase normalization, and `enumerate_bruteforce` the retired
+enumeration loop that runs the full vanishing test on every candidate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def member_2d(p, points) -> bool:
@@ -55,8 +59,6 @@ def vertices_by_definition(points, member) -> tuple:
 
 def grid_box(points, pad: int = 2):
     """All lattice points of [0, B]^m with B = max coordinate + pad."""
-    from itertools import product
-
     pts = list(map(tuple, points))
     if not pts:
         return []
@@ -141,3 +143,34 @@ def vertices_by_surrogates(arity, explicit, cones) -> tuple:
         if not member_newton_fraction(x, rest):
             out.append(x)
     return tuple(out)
+
+
+def orthant_contained_box(p, explicit, cones) -> bool:
+    """(p + Z^m_>=0) inside explicit + cones, by scanning the box [p, B]^m.
+
+    Points beyond B (one more than every coordinate in sight) cap back onto
+    the boundary layer without leaving either side, so the box decides.
+    """
+    if not cones:
+        return False
+
+    def member(q):
+        return q in explicit or any(all(a <= b for a, b in zip(g, q)) for g in cones)
+
+    m = len(p)
+    hi = [max([g[k] for g in cones] + [e[k] for e in explicit] + [p[k]]) + 1
+          for k in range(m)]
+    return all(member(q) for q in product(*(range(p[k], hi[k] + 1) for k in range(m))))
+
+
+def enumerate_bruteforce(polys, box, max_points=None, nvars=1) -> list:
+    """Every explicit-support tuple in [0, box]^m, each run through the full
+    `is_solution` test for every polynomial, in the library's output order."""
+    from tropdiff import SupportSet, is_solution
+
+    grid = sorted(product(*(range(b + 1) for b in box)))
+    top = len(grid) if max_points is None else min(max_points, len(grid))
+    components = [SupportSet(len(box), combo)
+                  for k in range(top + 1) for combo in combinations(grid, k)]
+    return [c for c in product(components, repeat=nvars)
+            if all(is_solution(p, c).solution for p in polys)]

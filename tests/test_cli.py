@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tropdiff import cli
 from tropdiff.cli import main
 
 
@@ -235,6 +236,16 @@ class TestUsageErrors:
                              "--poly", "x1[0]")
         assert code == 2 and out == ""
         assert "nonsquare" in err
+
+    def test_internal_error_exit_2_without_traceback(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_vertices", boom)
+        code, out, err = run(capsys, "vertices", "--set", "{(1,0)}")
+        assert code == 2 and out == ""
+        assert err.strip() == "internal error: RuntimeError: boom"
+        assert "Traceback" not in out + err
 
     def test_deep_nesting_exit_2_without_traceback(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

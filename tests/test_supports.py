@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from tropdiff import ArityError, SupportSet, VertexSet, member_newton
+from tropdiff.supports import _orthant_contained
 
 from gen import rand_point, rand_series, rand_support
-from oracles import grid_box, vertices_by_surrogates
+from oracles import grid_box, orthant_contained_box, vertices_by_surrogates
 
 
 def S(m, explicit=(), cones=()):
@@ -38,6 +40,37 @@ class TestNormalize:
     def test_arity_mismatch(self):
         with pytest.raises(ArityError):
             S(2, [(1, 2, 3)])
+
+    def test_promotion_cost_independent_of_coordinates(self):
+        # the retired box scan visits about B^3 points here
+        b = 10 ** 6
+        cones = [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 2), (b, b, b, 0)]
+        assert S(4, [(0, 0, 0, 1)], cones) == S(4, [], [(0, 0, 0, 1), (b, b, b, 0)])
+
+    def test_orthant_walk_matches_box_scan(self):
+        rng = random.Random(43)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            m = rng.randint(1, 3)
+            p = rand_point(rng, m, 3)
+            cones = []
+            explicit = {rand_point(rng, m, 5) for _ in range(rng.randint(0, 3))}
+            if rng.random() < 0.85:
+                # axis cones leave a finite box above p uncovered; fill it
+                # completely or with a gap, so both verdicts occur
+                reach = [rng.randint(1, 3) for _ in range(m)]
+                cones = [tuple(x + (reach[k] if i == k else 0) for i, x in enumerate(p))
+                         for k in range(m)]
+                cones += [rand_point(rng, m, 6) for _ in range(rng.randint(0, 2))]
+                hole = [tuple(x + d for x, d in zip(p, ds))
+                        for ds in itertools.product(*(range(r) for r in reach))]
+                if rng.random() < 0.5:
+                    hole.remove(rng.choice(hole))
+                explicit.update(hole)
+            got = _orthant_contained(p, frozenset(explicit), tuple(cones))
+            assert got == orthant_contained_box(p, explicit, cones), (p, explicit, cones)
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 150, verdicts
 
 
 class TestUnion:
@@ -123,6 +156,14 @@ class TestVal:
     def test_everything_dropped(self):
         s = S(2, [(2, 0), (1, 1), (0, 2)])
         assert s.val((5, 5)).is_empty
+
+    def test_matches_vertices_of_normalized_derivative(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            s = rand_support(rng, m, hi=6, kmax=5, cone_prob=0.8)
+            j = rand_point(rng, m, 4)
+            assert s.val(j) == s.trop_derivative(j).vertices(), (s, j)
 
 
 class TestMember:

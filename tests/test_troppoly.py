@@ -25,6 +25,7 @@ from tropdiff import (
 )
 
 from gen import rand_diff_monomial, rand_polynomial_tuple, rand_support, rand_trop_poly
+from oracles import enumerate_bruteforce
 
 Q = FieldSpec()
 Q2 = FieldSpec(2)
@@ -241,6 +242,25 @@ class TestEnumerate:
     def test_max_points_limits_size(self):
         sols = enumerate_solutions([], (1,), 1, nvars=1)
         assert len(sols) == 3  # empty, {(0)}, {(1)}
+
+    def test_matches_bruteforce_scan(self):
+        # the signature memo must give the plain scan's list, in its order
+        rng = random.Random(53)
+        boxes = {1: [(2,), (3,)], 2: [(1, 1), (2, 1), (1, 2)]}
+        constant = TropPolynomial(1, 1, ((DiffMonomial.one(), VertexSet.unit(1)),))
+        cases = [([], (2,), None, 1), ([], (1, 1), 2, 2), ([constant], (3,), None, 1)]
+        for _ in range(60):
+            m, n = rng.randint(1, 2), rng.randint(1, 2)
+            box = rng.choice(boxes[m])
+            max_points = rng.choice([None, 1, 2])
+            polys = [rand_trop_poly(rng, m, n) for _ in range(rng.randint(1, 3))]
+            cases.append((polys, box, max_points, n))
+        found = 0
+        for polys, box, max_points, n in cases:
+            got = enumerate_solutions(polys, box, max_points, nvars=n)
+            assert got == enumerate_bruteforce(polys, box, max_points, n), (polys, box)
+            found += len(got)
+        assert found > 100
 
 
 class TestTropPolynomialType:
