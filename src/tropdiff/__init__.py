@@ -25,7 +25,7 @@ from .lattice import (
 from .supports import SupportSet
 from .tropical import VertexSet
 from .series import PowerSeries
-from .diffpoly import DerivativeKey, DiffMonomial, DiffPolynomial, DiffSystem
+from .diffpoly import DerivativeKey, DiffMonomial, DiffPolynomial, DiffSystem, derivative_sample
 from .troppoly import (
     SolutionReport,
     TropMonomial,
@@ -78,6 +78,7 @@ __all__ = [
     "DiffMonomial",
     "DiffPolynomial",
     "DiffSystem",
+    "derivative_sample",
     "SolutionReport",
     "TropMonomial",
     "TropPolynomial",

@@ -12,14 +12,14 @@ import os
 import sys
 
 from . import examples as fixtures
-from .diffpoly import DiffSystem
-from .errors import TropdiffError
+from .errors import ParseError, TropdiffError
 from .field import FieldSpec
-from .lattice import as_point
+from .lattice import Point
 from .textio import (
     ParseContext,
     diff_poly_to_json,
     parse_diff_poly,
+    parse_point,
     parse_series,
     parse_support,
     parse_system,
@@ -50,11 +50,15 @@ def _context(args) -> ParseContext:
     return ParseContext(arity=args.arity, nvars=args.nvars, field=field)
 
 
-def _parse_multi_index(text: str, arity: int):
-    cleaned = text.strip()
-    if cleaned.startswith("("):
-        cleaned = cleaned.strip("()")
-    return as_point((int(c) for c in cleaned.split(",")), arity)
+def _parse_multi_index(text: str, ctx: ParseContext) -> Point:
+    """A DSL point, whose parentheses may be left out: `(1,0)` or `1,0`."""
+    if text.lstrip().startswith("("):
+        return parse_point(text, ctx)
+    try:
+        return parse_point(f"({text})", ctx)
+    except ParseError as exc:
+        # report the position in the text as given, without the added "("
+        raise ParseError(exc.message, text, max(exc.pos - 1, 0)) from None
 
 
 def _load_system(args, ctx: ParseContext):
@@ -65,7 +69,6 @@ def _load_system(args, ctx: ParseContext):
         polys = [parse_diff_poly(p, ctx) for p in args.poly]
     if not polys:
         raise TropdiffError("the system is empty")
-    DiffSystem(tuple(polys))
     return polys
 
 
@@ -114,7 +117,7 @@ def cmd_eval(args) -> int:
 
 def cmd_derive(args) -> int:
     ctx = _context(args)
-    idx = _parse_multi_index(args.index, ctx.arity)
+    idx = _parse_multi_index(args.index, ctx)
     if args.poly:
         out = parse_diff_poly(args.poly, ctx).theta(idx)
         _emit(args, print_diff_poly(out), diff_poly_to_json(out))
@@ -158,7 +161,7 @@ def cmd_enumerate(args) -> int:
     ctx = _context(args)
     polys = _load_system(args, ctx)
     sample = tropicalize_sample(polys, args.derive_bound)
-    box = _parse_multi_index(args.box, ctx.arity)
+    box = _parse_multi_index(args.box, ctx)
     cap = args.max_candidates
     if cap is None:
         cap = int(os.environ.get("TROPDIFF_MAX_CANDIDATES", DEFAULT_CANDIDATE_CAP))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArityError, FieldError, PrecisionError
 from .field import RATIONALS, FieldElement, FieldSpec
@@ -304,12 +304,25 @@ class DiffSystem:
     def field(self) -> FieldSpec:
         return self.polynomials[0].field
 
-    def derivative_sample(self, bound: int) -> tuple[DiffPolynomial, ...]:
-        """All theta(I)(P) for polynomials P and multi-indices ||I||_inf <= bound."""
-        if bound < 0:
-            raise ValueError("derivative bound must be >= 0")
-        out = []
-        for p in self.polynomials:
-            for idx in itertools.product(range(bound + 1), repeat=self.arity):
-                out.append(p.theta(idx))
-        return tuple(out)
+
+def derivative_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[DiffPolynomial]:
+    """Yield theta(I)(P) for each P in polys and ||I||_inf <= bound, in product order of I.
+
+    For I != 0 let k be the last axis with I_k > 0.  theta(I)(P) is
+    theta(I - e_k)(P) derived once more along axis k; `theta` applies the
+    axes in increasing order, so this replays its derivations one for one
+    and the result is equal term for term.  I - e_k = (I_1, .., I_k - 1, 0,
+    .., 0) is a prefix of the index just before I, so one row of m prefix
+    derivatives suffices: (bound+1)^m - 1 derivations per polynomial, and
+    no more than m derivatives alive beyond those the caller keeps.
+    """
+    if bound < 0:
+        raise ValueError("derivative bound must be >= 0")
+    for p in polys:
+        # row[j] = theta(I_1, .., I_{j+1}, 0, .., 0)(P) for the current I
+        row = [p] * p.arity
+        for idx in itertools.product(range(bound + 1), repeat=p.arity):
+            k = max((i for i, j in enumerate(idx) if j), default=None)
+            if k is not None:
+                row[k:] = [row[k].derive(k + 1)] * (p.arity - k)
+            yield row[-1]

@@ -130,19 +130,24 @@ class _Parser:
 
     # --- points and point sets
 
-    def parse_point(self) -> Point:
-        _, _, pos = self.peek()
-        self.expect_sym("(")
+    def parse_coords(self, open_sym: str, close_sym: str) -> Point:
+        """A nonempty comma-separated list of integers between two symbols."""
+        self.expect_sym(open_sym)
         coords = [self.expect_int()]
         while self.match_sym(","):
             coords.append(self.expect_int())
-        self.expect_sym(")")
+        self.expect_sym(close_sym)
+        return tuple(coords)
+
+    def parse_point(self) -> Point:
+        _, _, pos = self.peek()
+        coords = self.parse_coords("(", ")")
         if len(coords) != self.ctx.arity:
             raise ParseError(
                 f"point of arity {len(coords)}, expected {self.ctx.arity}",
                 self.text, pos,
             )
-        return tuple(coords)
+        return coords
 
     def parse_point_set(self) -> tuple[Point, ...]:
         self.expect_sym("{")
@@ -170,6 +175,40 @@ class _Parser:
                 self.advance()
                 cones = self.parse_point_set()
         return SupportSet(self.ctx.arity, explicit, cones)
+
+    # --- derivative variables
+
+    def match_derivative_var(self, allowed: bool = True) -> tuple[int, Point] | None:
+        """Parse `x<i>[j1,..,jm]` as (i, index), or return None at any other token.
+
+        For n = 1 the bare name `x` means `x1`.  Where `allowed` is false an
+        `x` name is an error.  Errors point at the name.
+        """
+        kind, val, pos = self.peek()
+        m_x = re.fullmatch(r"x(\d*)", val) if kind == "name" else None
+        if m_x is None:
+            return None
+        if not allowed:
+            raise ParseError("differential variables are not allowed here", self.text, pos)
+        self.advance()
+        i = int(m_x.group(1)) if m_x.group(1) else None
+        if i is None:
+            if self.ctx.nvars != 1:
+                raise ParseError("bare 'x' is only valid for a single variable",
+                                 self.text, pos)
+            i = 1
+        if not 1 <= i <= self.ctx.nvars:
+            raise ParseError(
+                f"variable x{i} out of range for {self.ctx.nvars} variables",
+                self.text, pos,
+            )
+        idx = self.parse_coords("[", "]")
+        if len(idx) != self.ctx.arity:
+            raise ParseError(
+                f"derivative index of arity {len(idx)}, expected {self.ctx.arity}",
+                self.text, pos,
+            )
+        return i, idx
 
     # --- polynomial expressions
 
@@ -205,12 +244,11 @@ class _Parser:
             return out
         return poly
 
+    def _term(self, coef: PowerSeries, mono: DiffMonomial = DiffMonomial.one()) -> DiffPolynomial:
+        return DiffPolynomial.monomial_poly(self.ctx.arity, self.ctx.nvars, mono, coef)
+
     def _const_poly(self, c: FieldElement) -> DiffPolynomial:
-        coef = PowerSeries.constant(self.ctx.arity, c, self.ctx.field)
-        return DiffPolynomial(
-            self.ctx.arity, self.ctx.nvars, self.ctx.field,
-            ((DiffMonomial.one(), coef),),
-        )
+        return self._term(PowerSeries.constant(self.ctx.arity, c, self.ctx.field))
 
     def parse_atom(self, allow_x: bool) -> DiffPolynomial:
         kind, val, pos = self.peek()
@@ -256,46 +294,11 @@ class _Parser:
                         f"variable t{k} out of range for arity {self.ctx.arity}",
                         self.text, pos,
                     )
-                coef = PowerSeries.variable(self.ctx.arity, k, self.ctx.field)
-                return DiffPolynomial(
-                    self.ctx.arity, self.ctx.nvars, self.ctx.field,
-                    ((DiffMonomial.one(), coef),),
-                )
-            m_x = re.fullmatch(r"x(\d*)", val)
-            if m_x:
-                if not allow_x:
-                    raise ParseError(
-                        "differential variables are not allowed here", self.text, pos
-                    )
-                self.advance()
-                i = int(m_x.group(1)) if m_x.group(1) else None
-                if i is None:
-                    if self.ctx.nvars != 1:
-                        raise ParseError(
-                            "bare 'x' is only valid for a single variable",
-                            self.text, pos,
-                        )
-                    i = 1
-                if not 1 <= i <= self.ctx.nvars:
-                    raise ParseError(
-                        f"variable x{i} out of range for {self.ctx.nvars} variables",
-                        self.text, pos,
-                    )
-                self.expect_sym("[")
-                idx = [self.expect_int()]
-                while self.match_sym(","):
-                    idx.append(self.expect_int())
-                self.expect_sym("]")
-                if len(idx) != self.ctx.arity:
-                    raise ParseError(
-                        f"derivative index of arity {len(idx)}, expected {self.ctx.arity}",
-                        self.text, pos,
-                    )
-                mono = DiffMonomial.variable(i, idx)
-                coef = PowerSeries.one(self.ctx.arity, self.ctx.field)
-                return DiffPolynomial(
-                    self.ctx.arity, self.ctx.nvars, self.ctx.field, ((mono, coef),)
-                )
+                return self._term(PowerSeries.variable(self.ctx.arity, k, self.ctx.field))
+            var = self.match_derivative_var(allow_x)
+            if var is not None:
+                one = PowerSeries.one(self.ctx.arity, self.ctx.field)
+                return self._term(one, DiffMonomial.variable(*var))
             raise ParseError(f"unknown name {val!r}", self.text, pos)
         raise ParseError("expected a term", self.text, pos)
 
@@ -323,38 +326,16 @@ class _Parser:
         return mono, coef
 
     def parse_trop_var(self) -> TropMonomial:
-        kind, val, pos = self.peek()
-        m_x = re.fullmatch(r"x(\d*)", val) if kind == "name" else None
-        if m_x is None:
+        _, _, pos = self.peek()
+        var = self.match_derivative_var()
+        if var is None:
             raise ParseError("expected a derivative variable", self.text, pos)
-        self.advance()
-        i = int(m_x.group(1)) if m_x.group(1) else None
-        if i is None:
-            if self.ctx.nvars != 1:
-                raise ParseError("bare 'x' is only valid for a single variable",
-                                 self.text, pos)
-            i = 1
-        if not 1 <= i <= self.ctx.nvars:
-            raise ParseError(
-                f"variable x{i} out of range for {self.ctx.nvars} variables",
-                self.text, pos,
-            )
-        self.expect_sym("[")
-        idx = [self.expect_int()]
-        while self.match_sym(","):
-            idx.append(self.expect_int())
-        self.expect_sym("]")
-        if len(idx) != self.ctx.arity:
-            raise ParseError(
-                f"derivative index of arity {len(idx)}, expected {self.ctx.arity}",
-                self.text, pos,
-            )
         power = 1
         if self.match_sym("^"):
             power = self.expect_int()
             if power < 1:
                 raise ParseError("tropical powers must be >= 1", self.text, pos)
-        return DiffMonomial.variable(i, idx, power)
+        return DiffMonomial.variable(*var, power)
 
 
 # ------------------------------------------------------------------ entry points

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ArityError, CandidateCapError
-from .diffpoly import DiffMonomial, DiffPolynomial
+from .diffpoly import DiffMonomial, DiffPolynomial, derivative_sample
 from .lattice import Point, as_point
 from .supports import SupportSet
 from .tropical import VertexSet
@@ -149,14 +149,8 @@ def tropicalize(poly: DiffPolynomial) -> TropPolynomial:
 
 
 def tropicalize_sample(polys: Iterable[DiffPolynomial], bound: int) -> tuple[TropPolynomial, ...]:
-    """Tropicalizations of all theta(I)(P), P in polys, ||I||_inf <= bound."""
-    if bound < 0:
-        raise ValueError("derivative bound must be >= 0")
-    out = []
-    for p in polys:
-        for idx in itertools.product(range(bound + 1), repeat=p.arity):
-            out.append(tropicalize(p.theta(idx)))
-    return tuple(out)
+    """Tropicalizations of `derivative_sample(polys, bound)`, in the same order."""
+    return tuple(tropicalize(q) for q in derivative_sample(polys, bound))
 
 
 # -------------------------------------------------------------------- solutions

@@ -206,6 +206,35 @@ class TestEvalDeriveEnumerate:
         data = json.loads(out)
         assert data["solutions"] == [[{"arity": 1, "explicit": [], "cones": []}]]
 
+    @pytest.mark.parametrize("text", ["(1,0)", "1,0", " ( 1 , 0 ) "])
+    def test_derive_index_forms(self, capsys, text):
+        code, out, _ = run(capsys, "derive", "-m", "2", "--index", text,
+                           "--poly", "x[0,0]")
+        assert code == 0 and out.strip() == "x1[1,0]"
+
+    @pytest.mark.parametrize("text", ["(1)", "1"])
+    def test_enumerate_box_forms(self, capsys, text):
+        code, out, _ = run(capsys, "enumerate", "-m", "1", "--poly", "x[0]",
+                           "--box", text)
+        assert code == 0 and out.strip().splitlines()[-1] == "1 solution(s)"
+
+    @pytest.mark.parametrize("option, text", [
+        (option, text)
+        for option in ("--index", "--box")
+        for text in ("1_0", "((1))", "+1", "1,0", "(1", "")
+    ])
+    def test_point_syntax_errors(self, capsys, option, text):
+        command = "derive" if option == "--index" else "enumerate"
+        code, out, err = run(capsys, command, "-m", "1", option, text,
+                             "--poly", "x[0]")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_point_error_position_without_parentheses(self, capsys):
+        code, _, err = run(capsys, "derive", "-m", "1", "--index", "1_0",
+                           "--poly", "x[0]")
+        assert code == 2 and err.strip() == "error: expected ')' (at position 1)"
+
 
 class TestExamples:
     def test_all_pass(self, capsys):

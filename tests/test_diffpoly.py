@@ -13,6 +13,7 @@ from tropdiff import (
     ParseContext,
     PowerSeries,
     VertexSet,
+    derivative_sample,
     eval_monomial,
     parse_diff_poly,
     parse_series,
@@ -190,6 +191,54 @@ class TestDiffSystem:
             DiffSystem(())
 
     def test_derivative_sample_count(self):
-        sys71 = DiffSystem((p1(),))
-        assert len(sys71.derivative_sample(1)) == 4
-        assert len(sys71.derivative_sample(0)) == 1
+        assert len(tuple(derivative_sample((p1(),), 1))) == 4
+        assert len(tuple(derivative_sample((p1(),), 0))) == 1
+
+
+class TestDerivativeSample:
+    def test_matches_theta_in_product_order(self):
+        rng = random.Random(41)
+        truncated = PowerSeries.monomial(2, (3, 1), 2).truncate(5)
+        mixed = DiffPolynomial(2, 1, Q, (
+            (DiffMonomial.variable(1, (1, 0), 2), truncated),
+            (DiffMonomial.variable(1, (0, 0)), PowerSeries.variable(2, 1, Q)),
+        ))
+        cases = [([mixed], 3)]
+        for m, k, n, field in itertools.product((1, 2, 3), range(4), (1, 2), (Q, Q2)):
+            # square-free monomials and low coefficients keep theta(I) small at ||I||_1 = 3m
+            polys = [
+                DiffPolynomial(m, n, field, tuple(
+                    (rand_diff_monomial(rng, m, n, max_exp=1),
+                     rand_series(rng, m, field, hi=1, kmax=2, nonzero=True))
+                    for _ in range(2)
+                ))
+                for _ in range(2)
+            ]
+            cases.append((polys, k))
+        for polys, k in cases:
+            m = polys[0].arity
+            want = [p.theta(idx) for p in polys
+                    for idx in itertools.product(range(k + 1), repeat=m)]
+            assert list(derivative_sample(polys, k)) == want
+
+    def test_one_derivation_per_index(self, monkeypatch):
+        calls = []
+        derive = DiffPolynomial.derive
+
+        def counting(self, k):
+            calls.append(k)
+            return derive(self, k)
+
+        monkeypatch.setattr(DiffPolynomial, "derive", counting)
+        rng = random.Random(42)
+        for m in (1, 2, 3):
+            polys = [rand_diff_poly(rng, m, 2, Q) for _ in range(3)]
+            for k in range(4):
+                calls.clear()
+                assert next(derivative_sample(polys, k)) is polys[0] and not calls
+                tuple(derivative_sample(polys, k))
+                assert len(calls) == len(polys) * ((k + 1) ** m - 1)
+
+    def test_negative_bound(self):
+        with pytest.raises(ValueError):
+            tuple(derivative_sample((p1(),), -1))

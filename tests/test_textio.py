@@ -92,6 +92,33 @@ class TestParseDiffPoly:
             parse_series("t1 + x1[0,0]", CTX71)
 
 
+# Both entry points that read `x<i>[..]`, each with the text that precedes
+# the variable (formatted with the coordinates of one point).
+VAR_ENTRY_POINTS = [(parse_diff_poly, ""), (parse_trop_poly, "{{({})}}*")]
+
+
+class TestDerivativeVariables:
+    @pytest.mark.parametrize("parse, prefix", VAR_ENTRY_POINTS, ids=["diff", "trop"])
+    @pytest.mark.parametrize("var, nvars, arity, message", [
+        ("x[0,0]", 2, 2, "bare 'x' is only valid for a single variable"),
+        ("x3[0,0]", 2, 2, "variable x3 out of range for 2 variables"),
+        ("x0[0]", 1, 1, "variable x0 out of range for 1 variables"),
+        ("x1[1]", 1, 2, "derivative index of arity 1, expected 2"),
+    ])
+    def test_same_errors(self, parse, prefix, var, nvars, arity, message):
+        prefix = prefix.format(",".join("0" * arity))
+        with pytest.raises(ParseError) as exc:
+            parse(prefix + var, ParseContext(arity=arity, nvars=nvars))
+        assert exc.value.message == message
+        assert exc.value.pos == len(prefix)
+
+    @pytest.mark.parametrize("parse, prefix", VAR_ENTRY_POINTS, ids=["diff", "trop"])
+    def test_bare_x_for_one_variable(self, parse, prefix):
+        ctx = ParseContext(arity=2, nvars=1)
+        prefix = prefix.format("0,0")
+        assert parse(prefix + "x[1,0]", ctx) == parse(prefix + "x1[1,0]", ctx)
+
+
 class TestParseSupport:
     def test_explicit_plus_cone(self):
         s = parse_support("{(1,4),(2,3)} + cone{(0,5)}", CTX71)

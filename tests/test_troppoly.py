@@ -24,7 +24,13 @@ from tropdiff import (
     tropicalize_sample,
 )
 
-from gen import rand_diff_monomial, rand_polynomial_tuple, rand_support, rand_trop_poly
+from gen import (
+    rand_diff_monomial,
+    rand_diff_poly,
+    rand_polynomial_tuple,
+    rand_support,
+    rand_trop_poly,
+)
 from oracles import enumerate_bruteforce
 
 Q = FieldSpec()
@@ -182,6 +188,23 @@ class TestIsSolutionSystem:
             bad = reports[k]
             assert bad.solution is False
             assert any(len(w) == 1 for _, w in bad.witnesses)
+
+    def test_false_stays_false_at_a_larger_bound(self):
+        # the sample at bound k is part of the sample at bound k + 1
+        rng = random.Random(61)
+        falses = 0
+        for _ in range(60):
+            m, n = rng.randint(1, 2), rng.randint(1, 2)
+            field = rng.choice([Q, Q2])
+            polys = [rand_diff_poly(rng, m, n, field) for _ in range(rng.randint(1, 2))]
+            supports = tuple(rand_support(rng, m) for _ in range(n))
+            k = rng.randint(0, 2)
+            ok, _ = is_solution_system(tropicalize_sample(polys, k), supports)
+            if not ok:
+                ok_next, _ = is_solution_system(tropicalize_sample(polys, k + 1), supports)
+                assert ok_next is False, (polys, supports, k)
+                falses += 1
+        assert falses >= 30
 
 
 class TestEasyDirection:
