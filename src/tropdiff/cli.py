@@ -62,7 +62,7 @@ def _parse_multi_index(text: str, ctx: ParseContext) -> Point:
 
 
 def _load_system(args, ctx: ParseContext):
-    if args.system:
+    if args.system is not None:
         with open(args.system, encoding="utf-8") as fh:
             polys = parse_system(fh.read(), ctx)
     else:
@@ -118,7 +118,7 @@ def cmd_eval(args) -> int:
 def cmd_derive(args) -> int:
     ctx = _context(args)
     idx = _parse_multi_index(args.index, ctx)
-    if args.poly:
+    if args.poly is not None:
         out = parse_diff_poly(args.poly, ctx).theta(idx)
         _emit(args, print_diff_poly(out), diff_poly_to_json(out))
     else:

@@ -129,11 +129,6 @@ class DiffPolynomial:
         return cls(arity, nvars, field)
 
     @classmethod
-    def from_terms(cls, arity: int, nvars: int, field: FieldSpec,
-                   terms: Iterable[tuple[DiffMonomial, PowerSeries]]) -> "DiffPolynomial":
-        return cls(arity, nvars, field, tuple(terms))
-
-    @classmethod
     def monomial_poly(cls, arity: int, nvars: int, mono: DiffMonomial,
                       coef: PowerSeries) -> "DiffPolynomial":
         return cls(arity, nvars, coef.field, ((mono, coef),))
@@ -180,12 +175,6 @@ class DiffPolynomial:
             for m2, c2 in other.terms:
                 out.append((m1 * m2, c1 * c2))
         return DiffPolynomial(self.arity, self.nvars, self.field, tuple(out))
-
-    def mul_series(self, s: PowerSeries) -> "DiffPolynomial":
-        return DiffPolynomial(
-            self.arity, self.nvars, self.field,
-            tuple((m, c * s) for m, c in self.terms),
-        )
 
     # ---------------------------------------------------------------- derivations
 

@@ -20,7 +20,7 @@ they are componentwise identical, so `==` is semantic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ArityError
@@ -84,6 +84,8 @@ class SupportSet:
     arity: int
     explicit: tuple[Point, ...] = ()
     cones: tuple[Point, ...] = ()
+    # Val_J memo, shift -> VertexSet; invisible to ==, hash and repr.
+    _vals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -189,10 +191,16 @@ class SupportSet:
         Built from the shifted explicit points and clamped generators
         without normalizing them into a SupportSet first: normalization
         only drops points inside cones and reshapes the generators, so the
-        Newton polygon, and with it the vertex set, is unchanged.
+        Newton polygon, and with it the vertex set, is unchanged.  Each
+        result is memoized on the set, so every caller shares one Val_J per
+        shift; an invalid shift raises before anything is stored.
         """
-        expl, gens = self._shifted(shift)
-        return VertexSet(self.arity, expl + gens)
+        key = tuple(shift)
+        v = self._vals.get(key)
+        if v is None:
+            expl, gens = self._shifted(key)
+            v = self._vals[key] = VertexSet(self.arity, expl + gens)
+        return v
 
     def bound(self) -> Point:
         """Componentwise max over all explicit points and generators (0 if empty)."""

@@ -516,21 +516,13 @@ def print_trop_poly(p: TropPolynomial) -> str:
 # ------------------------------------------------------------------ JSON forms
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
-def field_element_to_json(c: FieldElement) -> dict:
-    return {"a": _frac_str(c.a), "b": _frac_str(c.b)}
-
-
 def series_to_json(s: PowerSeries) -> dict:
     return {
         "arity": s.arity,
         "d": s.field.d,
         "precision": s.precision,
         "terms": [
-            {"exponent": list(p), "a": _frac_str(c.a), "b": _frac_str(c.b)}
+            {"exponent": list(p), "a": str(c.a), "b": str(c.b)}
             for p, c in s.terms
         ],
     }

@@ -18,7 +18,7 @@ from .errors import ArityError
 from .lattice import Point, _vertices_cached, add, as_point, canon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """A finite antichain of lattice points, canonicalized at construction."""
 

@@ -87,11 +87,9 @@ class TropPolynomial:
         )
 
     def eval(self, supports: Sequence[SupportSet]) -> VertexSet:
-        """Tropical sum over all terms of a_M (*) eps_M(S)."""
-        acc = VertexSet.empty(self.arity)
-        for _, ts in self.term_sets(supports):
-            acc = acc.oplus(ts)
-        return acc
+        """Tropical sum over all terms of a_M (*) eps_M(S), as Vert of their union."""
+        sets = self.term_sets(supports)
+        return VertexSet(self.arity, tuple(v for _, ts in sets for v in ts))
 
 
 def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
@@ -175,9 +173,8 @@ class SolutionReport:
 def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> SolutionReport:
     """Tropical vanishing test for one polynomial at a support tuple."""
     sets = poly.term_sets(supports)
-    evaluation = VertexSet.empty(poly.arity)
-    for _, ts in sets:
-        evaluation = evaluation.oplus(ts)
+    # Vert(union of the Vert T_i) = Vert(union of the T_i): one (+) over all terms
+    evaluation = VertexSet(poly.arity, tuple(v for _, ts in sets for v in ts))
     witnesses = []
     verdict = True
     for v in evaluation.points:
@@ -232,16 +229,18 @@ def enumerate_solutions(
 
     `is_solution(p, S)` reads S only through Val_J(S_i) for the derivative
     keys x_{i,J} that p mentions, so its verdict is a function of p's
-    signature: those vertex sets over p's sorted keys.  The scan fills one
-    shift -> Val_J table per component on first use and calls
-    `is_solution` once per distinct signature of each polynomial; every
-    other candidate reuses the memoized verdict, which is exact.
+    signature: those vertex sets over p's sorted keys, which each component
+    memoizes in `SupportSet.val`.  The scan calls `is_solution` once per
+    distinct signature of each polynomial; every other candidate reuses
+    the memoized verdict, which is exact.
     Polynomials are tried in order and the first false verdict ends a
     candidate, as in the plain scan.
     """
     box = tuple(int(b) for b in box)
     if any(b < 0 for b in box):
         raise ArityError("box bounds must be nonnegative")
+    if max_points is not None and max_points < 0:
+        raise ValueError("max_points must be >= 0")
     arity = len(box)
     polys = list(polys)
     if nvars is None:
@@ -263,31 +262,20 @@ def enumerate_solutions(
         for combo in itertools.combinations(grid, k):
             component.append(SupportSet(arity, combo))
 
-    # Lazy per-component valuation tables (shift J -> Val_J points) and one
-    # verdict memo per polynomial, keyed by its signature.
-    tables: list[dict[Point, tuple[Point, ...]]] = [{} for _ in component]
+    # One verdict memo per polynomial, keyed by its signature.
     keyed = [
         (p, sorted({key for mono in p.monomials() for key, _ in mono.exponents}), {})
         for p in polys
     ]
-
-    def valuation(c: int, shift: Point) -> tuple[Point, ...]:
-        table = tables[c]
-        v = table.get(shift)
-        if v is None:
-            v = table[shift] = component[c].val(shift).points
-        return v
-
     out = []
-    for idx in itertools.product(range(len(component)), repeat=nvars):
+    for candidate in itertools.product(component, repeat=nvars):
         for p, keys, memo in keyed:
-            sig = tuple(valuation(idx[k.var - 1], k.index) for k in keys)
+            sig = tuple(candidate[k.var - 1].val(k.index).points for k in keys)
             verdict = memo.get(sig)
             if verdict is None:
-                candidate = tuple(component[c] for c in idx)
                 verdict = memo[sig] = is_solution(p, candidate).solution
             if not verdict:
                 break
         else:
-            out.append(tuple(component[c] for c in idx))
+            out.append(candidate)
     return out

@@ -230,6 +230,22 @@ class TestEvalDeriveEnumerate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("derive", "-m", "1", "--index", "1", "--poly", ""),
+        ("check", "-m", "1", "--system", "", "--supports", "{(0)}"),
+        ("enumerate", "-m", "1", "--system", "", "--box", "2"),
+    ])
+    def test_empty_poly_or_system_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "internal error" not in err
+
+    def test_negative_max_points_exit_2(self, capsys):
+        code, out, err = run(capsys, "enumerate", "-m", "1", "--poly", "x[0]",
+                             "--box", "2", "--max-points", "-1")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: max_points must be >= 0"
+
     def test_point_error_position_without_parentheses(self, capsys):
         code, _, err = run(capsys, "derive", "-m", "1", "--index", "1_0",
                            "--poly", "x[0]")

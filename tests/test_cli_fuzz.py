@@ -1,0 +1,111 @@
+"""Seeded argv fuzzing of `cli.main`: every input ends in exit code 0, 1 or 2.
+
+Arguments are drawn from DSL tokens, empty strings and small integers.  Digits
+are kept single and apart, so exponents, derivative indices and
+`--derive-bound` stay at 3 or less: large powers and indices have no cap yet
+and would only make the run slow.
+"""
+
+import contextlib
+import io
+import random
+
+from tropdiff.cli import main
+
+DIGITS = ("0", "1", "2", "3")
+TOKENS = DIGITS + (
+    "t", "t1", "t2", "t3", "x", "x1", "x2", "x[0]", "x1[1,0]", "x2[0,1]",
+    "sqrtd", "cone", "+", "-", "*", "/", "^", "(", ")", "[", "]", "{", "}",
+    ",", ";", " ",
+)
+# mostly 1 and 2, so that many cases get past the arity and variable checks
+SMALL_INTS = ("1", "1", "1", "2", "2", "3", "0", "-1")
+
+POLYS = ("x[1]^2 - 4*x[0]", "2*t1*x1[1] - x1[0]", "x[0]", "x[1] - x[0]",
+         "x1[0] + x2[1]", "x1[1,0]*x1[0,1] - x1[0,0]")
+SETS = ("{(0)}", "{(1)}", "{(0),(1)}", "cone{(1)}", "{(0)};{(1)}", "{}",
+        "{(1,0),(0,1)}", "{(2,0),(1,1)} + cone{(0,2)}")
+SERIES = ("t1^2 + 1", "1;t", "sqrtd*t1 - 1/2", "t1*t2;t2")
+POINTS = ("1", "(2)", "0", "(1,0)", "1,1")
+
+COMMON = {"--arity": "int", "--nvars": "int", "--sqrt": "int", "--format": "format"}
+# command -> (groups of required options, of which one option per group is
+#             drawn in most cases; options it may take)
+COMMANDS = {
+    "vertices": ([{"--set": "set"}], {"--arity": "int", "--format": "format"}),
+    "trop": ([{"--arity": "int"}, {"--poly": "poly"}], COMMON),
+    "eval": ([{"--arity": "int"}, {"--poly": "poly"}, {"--at": "series"}], COMMON),
+    "derive": ([{"--arity": "int"}, {"--index": "point"},
+                {"--poly": "poly", "--series": "series"}], COMMON),
+    "check": ([{"--arity": "int"}, {"--supports": "set"},
+               {"--poly": "poly", "--system": "file"}],
+              {**COMMON, "--poly": "poly", "--derive-bound": "int"}),
+    "enumerate": ([{"--arity": "int"}, {"--box": "point"},
+                   {"--poly": "poly", "--system": "file"}],
+                  {**COMMON, "--poly": "poly", "--derive-bound": "int",
+                   "--max-points": "int", "--max-candidates": "int"}),
+    "examples": ([], {"--format": "format"}),
+}
+# `examples` replays four fixed fixtures; drawing it less keeps the run short
+WEIGHTS = {"examples": 1}
+
+
+def dsl(rng: random.Random) -> str:
+    out: list[str] = []
+    for _ in range(rng.randint(0, 8)):
+        tok = rng.choice(TOKENS)
+        if out and out[-1][-1:].isdigit() and tok[:1].isdigit():
+            out.append(" ")
+        out.append(tok)
+    return "".join(out)
+
+
+def value(rng: random.Random, kind: str, files: tuple[str, ...]) -> str:
+    roll = rng.random()
+    if roll < 0.05:
+        return ""
+    if kind == "int":
+        return rng.choice(SMALL_INTS) if roll < 0.95 else dsl(rng)
+    if kind == "format":
+        return rng.choice(("text", "json", "text", "json", "xml"))
+    if kind == "file":
+        return rng.choice(files)
+    fixtures = {"poly": POLYS, "series": SERIES, "set": SETS, "point": POINTS}[kind]
+    return rng.choice(fixtures) if roll < 0.75 else dsl(rng)
+
+
+def argv_case(rng: random.Random, files: tuple[str, ...]) -> list[str]:
+    names = sorted(COMMANDS)
+    command = rng.choices(names, [WEIGHTS.get(c, 6) for c in names])[0]
+    needed, optional = COMMANDS[command]
+    argv = [command]
+    for group in needed:
+        if rng.random() < 0.95:
+            option = rng.choice(sorted(group))
+            argv += [option, value(rng, group[option], files)]
+    for option, kind in optional.items():
+        if rng.random() < 0.2:
+            argv += [option, value(rng, kind, files)]
+    return argv
+
+
+def test_every_argv_exits_0_1_or_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("TROPDIFF_MAX_CANDIDATES", "64")
+    system = tmp_path / "system.txt"
+    system.write_text("# two polynomials\nx[1]^2 - 4*x[0]\nx[0]\n", encoding="utf-8")
+    files = (str(system), str(tmp_path / "missing.txt"), "")
+    rng = random.Random(61)
+    codes = set()
+    for _ in range(1000):
+        argv = argv_case(rng, files)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

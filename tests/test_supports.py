@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from tropdiff import ArityError, SupportSet, VertexSet, member_newton
+from tropdiff import (
+    ArityError,
+    SupportSet,
+    VertexSet,
+    member_newton,
+    print_support,
+)
 from tropdiff.supports import _orthant_contained
+from tropdiff.textio import support_to_json
 
 from gen import rand_point, rand_series, rand_support
 from oracles import grid_box, orthant_contained_box, vertices_by_surrogates
@@ -164,6 +171,53 @@ class TestVal:
             s = rand_support(rng, m, hi=6, kmax=5, cone_prob=0.8)
             j = rand_point(rng, m, 4)
             assert s.val(j) == s.trop_derivative(j).vertices(), (s, j)
+
+
+class TestValMemo:
+    def test_memo_is_invisible(self):
+        s = S(2, [(1, 4), (2, 3)], [(3, 1)])
+        before = (hash(s), repr(s), print_support(s), support_to_json(s))
+        s.val((1, 0))
+        s.val((0, 2))
+        fresh = S(2, [(1, 4), (2, 3)], [(3, 1)])
+        assert s == fresh and fresh == s
+        after = (hash(s), repr(s), print_support(s), support_to_json(s))
+        assert after == before
+        assert after == (hash(fresh), repr(fresh), print_support(fresh),
+                         support_to_json(fresh))
+
+    def test_list_and_tuple_shifts_agree(self):
+        s = S(2, [(2, 0), (1, 1), (0, 2)])
+        assert s.val([1, 0]) == s.val((1, 0)) == VertexSet(2, ((1, 0), (0, 1)))
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (1,), (1, 0, 0), ()])
+    def test_invalid_shift_raises_on_every_call(self, bad):
+        s = S(2, [(2, 0), (1, 1)], [(0, 3)])
+        for _ in range(2):
+            with pytest.raises(ArityError):
+                s.val(bad)
+            s.val((1, 0))
+            s.val((0, 0))
+
+
+def _permuted(perm, points):
+    return tuple(tuple(p[k] for k in perm) for p in points)
+
+
+class TestPermutations:
+    def test_vertices_and_val_commute_with_coordinate_permutations(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            s = rand_support(rng, m, hi=5, kmax=5, cone_prob=0.8)
+            perm = list(range(m))
+            rng.shuffle(perm)
+            t = S(m, _permuted(perm, s.explicit), _permuted(perm, s.cones))
+            assert t.vertices() == VertexSet(m, _permuted(perm, s.vertices())), (s, perm)
+            for _ in range(3):
+                j = rand_point(rng, m, 3)
+                (pj,) = _permuted(perm, (j,))
+                assert t.val(pj) == VertexSet(m, _permuted(perm, s.val(j))), (s, perm, j)
 
 
 class TestMember:

@@ -207,6 +207,24 @@ class TestIsSolutionSystem:
         assert falses >= 30
 
 
+class TestValMemo:
+    def test_one_val_computation_per_set_and_shift(self, monkeypatch):
+        calls = []
+        shifted = SupportSet._shifted
+
+        def counting(self, shift):
+            calls.append((id(self), tuple(shift)))
+            return shifted(self, shift)
+
+        monkeypatch.setattr(SupportSet, "_shifted", counting)
+        sample = tropicalize_sample(system_71(), 2)
+        supports = supports_71()
+        is_solution_system(sample, supports)
+        assert calls and len(calls) == len(set(calls))
+        is_solution_system(sample, supports)
+        assert len(calls) == len(set(calls))
+
+
 class TestEasyDirection:
     def test_constructed_cancellation(self):
         rng = random.Random(34)
@@ -265,6 +283,11 @@ class TestEnumerate:
     def test_max_points_limits_size(self):
         sols = enumerate_solutions([], (1,), 1, nvars=1)
         assert len(sols) == 3  # empty, {(0)}, {(1)}
+
+    def test_negative_max_points_refused(self):
+        # not even the empty support would be tried, and it solves x[0]
+        with pytest.raises(ValueError, match="max_points must be >= 0"):
+            enumerate_solutions([tropicalize(poly_73())], (2,), -1, nvars=1)
 
     def test_matches_bruteforce_scan(self):
         # the signature memo must give the plain scan's list, in its order
