@@ -19,20 +19,18 @@ from .lattice import (
     as_point,
     member_newton,
     minimal_elements,
-    staircase_hull_2d,
     vertices_of_finite,
 )
 from .supports import SupportSet
 from .tropical import VertexSet
 from .series import PowerSeries
-from .diffpoly import DerivativeKey, DiffMonomial, DiffPolynomial, DiffSystem, derivative_sample
+from .diffpoly import DerivativeKey, DiffMonomial, DiffPolynomial, derivative_sample
 from .troppoly import (
     SolutionReport,
     TropMonomial,
     TropPolynomial,
     enumerate_solutions,
     eval_monomial,
-    eval_monomial_minkowski,
     is_solution,
     is_solution_system,
     tropicalize,
@@ -69,7 +67,6 @@ __all__ = [
     "as_point",
     "member_newton",
     "minimal_elements",
-    "staircase_hull_2d",
     "vertices_of_finite",
     "SupportSet",
     "VertexSet",
@@ -77,14 +74,12 @@ __all__ = [
     "DerivativeKey",
     "DiffMonomial",
     "DiffPolynomial",
-    "DiffSystem",
     "derivative_sample",
     "SolutionReport",
     "TropMonomial",
     "TropPolynomial",
     "enumerate_solutions",
     "eval_monomial",
-    "eval_monomial_minkowski",
     "is_solution",
     "is_solution_system",
     "tropicalize",

@@ -137,23 +137,22 @@ def cmd_check(args) -> int:
         )
     sample = tropicalize_sample(polys, args.derive_bound)
     ok, reports = is_solution_system(sample, supports)
-    if args.format == "json":
-        payload = {
-            "solution": ok,
-            "polynomials": [
-                {"polynomial": print_trop_poly(p), "report": report_to_json(r)}
-                for p, r in zip(sample, reports)
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for p, r in zip(sample, reports):
-            print(f"{print_trop_poly(p)}")
-            print(f"  evaluation: {print_vertex_set(r.evaluation)}")
-            for v, idx in r.witnesses:
-                print(f"  {print_point(v)}: monomials {list(idx)}")
-            print(f"  solution: {str(r.solution).lower()}")
-        print(f"overall solution: {str(ok).lower()}")
+    lines = []
+    for p, r in zip(sample, reports):
+        lines.append(print_trop_poly(p))
+        lines.append(f"  evaluation: {print_vertex_set(r.evaluation)}")
+        for v, idx in r.witnesses:
+            lines.append(f"  {print_point(v)}: monomials {list(idx)}")
+        lines.append(f"  solution: {str(r.solution).lower()}")
+    lines.append(f"overall solution: {str(ok).lower()}")
+    payload = {
+        "solution": ok,
+        "polynomials": [
+            {"polynomial": print_trop_poly(p), "report": report_to_json(r)}
+            for p, r in zip(sample, reports)
+        ],
+    }
+    _emit(args, "\n".join(lines), payload)
     return 0 if ok else 1
 
 
@@ -168,36 +167,27 @@ def cmd_enumerate(args) -> int:
     solutions = enumerate_solutions(
         sample, box, args.max_points, nvars=ctx.nvars, max_candidates=cap
     )
-    if args.format == "json":
-        payload = {
-            "solutions": [
-                [support_to_json(s) for s in tup] for tup in solutions
-            ]
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for tup in solutions:
-            print(" ; ".join(print_support(s) for s in tup))
-        print(f"{len(solutions)} solution(s)")
+    lines = [" ; ".join(print_support(s) for s in tup) for tup in solutions]
+    lines.append(f"{len(solutions)} solution(s)")
+    payload = {"solutions": [[support_to_json(s) for s in tup] for tup in solutions]}
+    _emit(args, "\n".join(lines), payload)
     return 0
 
 
 def cmd_examples(args) -> int:
     results = fixtures.run_all()
     ok = all(r.passed for r in results)
-    if args.format == "json":
-        payload = {
-            "examples": [
-                {"name": r.name, "pass": r.passed, "details": r.details}
-                for r in results
-            ]
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
-            for line in r.details:
-                print(f"      {line}")
+    lines = []
+    for r in results:
+        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
+        lines.extend(f"      {line}" for line in r.details)
+    payload = {
+        "examples": [
+            {"name": r.name, "pass": r.passed, "details": r.details}
+            for r in results
+        ]
+    }
+    _emit(args, "\n".join(lines), payload)
     return 0 if ok else 1
 
 

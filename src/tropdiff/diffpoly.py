@@ -53,12 +53,6 @@ class DiffMonomial:
         )
 
     @classmethod
-    def of(cls, mapping: Mapping[DerivativeKey, int] | Iterable[tuple[DerivativeKey, int]]
-           ) -> "DiffMonomial":
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        return cls(tuple(items))
-
-    @classmethod
     def one(cls) -> "DiffMonomial":
         return cls()
 
@@ -70,21 +64,8 @@ class DiffMonomial:
     def is_constant(self) -> bool:
         return not self.exponents
 
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exponents)
-
-    @property
-    def order(self) -> int:
-        """Highest derivative order max ||J||_inf over the keys (0 if constant)."""
-        return max((max(k.index) for k, _ in self.exponents), default=0)
-
     def __mul__(self, other: "DiffMonomial") -> "DiffMonomial":
         return DiffMonomial(self.exponents + other.exponents)
-
-    def replace(self, key: DerivativeKey, delta: int) -> "DiffMonomial":
-        """Monomial with the exponent of `key` changed by delta."""
-        return DiffMonomial(self.exponents + ((key, delta),))
 
 
 @dataclass(frozen=True)
@@ -184,7 +165,7 @@ class DiffPolynomial:
         for mono, coef in self.terms:
             out.append((mono, coef.derive(k)))
             for key, e in mono.exponents:
-                shifted = mono.replace(key, -1).replace(key.bump(k), +1)
+                shifted = DiffMonomial(mono.exponents + ((key, -1), (key.bump(k), 1)))
                 out.append((shifted, coef.scalar_mul(e)))
         return DiffPolynomial(self.arity, self.nvars, self.field, tuple(out))
 
@@ -266,32 +247,6 @@ class DiffPolynomial:
                     break
             total = total + v
         return total
-
-
-@dataclass(frozen=True)
-class DiffSystem:
-    """A non-empty list of differential polynomials sharing (m, n, field)."""
-
-    polynomials: tuple[DiffPolynomial, ...]
-
-    def __post_init__(self):
-        if not self.polynomials:
-            raise ValueError("a differential system must be non-empty")
-        first = self.polynomials[0]
-        for p in self.polynomials[1:]:
-            first._check(p)
-
-    @property
-    def arity(self) -> int:
-        return self.polynomials[0].arity
-
-    @property
-    def nvars(self) -> int:
-        return self.polynomials[0].nvars
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.polynomials[0].field
 
 
 def derivative_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[DiffPolynomial]:

@@ -16,6 +16,7 @@ under the componentwise order and spans the same Newton polygon as C.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable
 
@@ -26,7 +27,10 @@ Point = tuple[int, ...]
 
 def as_point(coords: Iterable[int], arity: int | None = None) -> Point:
     """Validate and freeze a lattice point (nonnegative integer coordinates)."""
-    p = tuple(int(c) for c in coords)
+    try:
+        p = tuple(map(operator.index, coords))
+    except TypeError:
+        raise ArityError(f"non-integer coordinate in lattice point {coords!r}") from None
     if arity is not None and len(p) != arity:
         raise ArityError(f"expected a point of arity {arity}, got {p}")
     if not p:
@@ -55,13 +59,6 @@ def leq(p: Point, q: Point) -> bool:
 
 def add(p: Point, q: Point) -> Point:
     return tuple(a + b for a, b in zip(p, q))
-
-
-def unit(arity: int, k: int) -> Point:
-    """The k-th unit vector (1-based axis index)."""
-    if not 1 <= k <= arity:
-        raise ArityError(f"axis {k} out of range for arity {arity}")
-    return tuple(1 if i == k - 1 else 0 for i in range(arity))
 
 
 def minimal_elements(points: Iterable[Point]) -> tuple[Point, ...]:
@@ -167,26 +164,3 @@ def vertices_of_finite(points: Iterable[Iterable[int]]) -> tuple[Point, ...]:
     pre-filtered to the minimal antichain before the LP tests run.
     """
     return _vertices_cached(canon(points))
-
-
-def staircase_hull_2d(points: Iterable[Iterable[int]]) -> tuple[Point, ...]:
-    """Planar vertex set by a monotone-chain sweep; LP-free cross-check.
-
-    Sorts the minimal antichain by first coordinate (second then strictly
-    decreases) and keeps exactly the points making a strictly convex
-    lower-left turn.  Agrees with `vertices_of_finite` for arity 2.
-    """
-    pts = canon(points)
-    if pts and len(pts[0]) != 2:
-        raise ArityError("staircase_hull_2d requires arity 2")
-    chain: list[Point] = []
-    for q in minimal_elements(pts):
-        while len(chain) >= 2 and not _convex_turn(chain[-2], chain[-1], q):
-            chain.pop()
-        chain.append(q)
-    return tuple(sorted(chain))
-
-
-def _convex_turn(a: Point, b: Point, c: Point) -> bool:
-    # strict lower-left convexity at b; collinear points are not vertices
-    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0

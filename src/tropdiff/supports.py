@@ -103,15 +103,6 @@ class SupportSet:
         """The singleton {(0,...,0)}, neutral for the Minkowski sum."""
         return cls(arity, ((0,) * arity,))
 
-    @classmethod
-    def of(cls, arity: int, explicit: Iterable[Iterable[int]] = (),
-           cones: Iterable[Iterable[int]] = ()) -> "SupportSet":
-        return cls(
-            arity,
-            tuple(as_point(p, arity) for p in explicit),
-            tuple(as_point(g, arity) for g in cones),
-        )
-
     @property
     def is_empty(self) -> bool:
         return not self.explicit and not self.cones
@@ -175,15 +166,15 @@ class SupportSet:
         return SupportSet(self.arity, *self._shifted(shift))
 
     def vertices(self) -> VertexSet:
-        """Vertex set of the denoted (possibly infinite) staircase set.
+        """Vertex set of the denoted (possibly infinite) staircase set: Val_0(S).
 
         N(explicit + cones) already contains every cone's orthant, so these
         are the vertices of the finite set of generators and explicit
-        points, found by the one cached vertex routine of `lattice` with
-        its fraction-free integer simplex.  Passing the minimal antichain keeps the cache key small
-        and shared by the many sets that differ only in dominated points.
+        points.  That is `val` at the origin, which shifts nothing, so the
+        vertex set comes from the one cached vertex routine of `lattice`
+        and shares the set's `Val_J` memo.
         """
-        return VertexSet(self.arity, minimal_elements(self.explicit + self.cones))
+        return self.val((0,) * self.arity)
 
     def val(self, shift: Iterable[int]) -> VertexSet:
         """Vertex set of the tropical derivative: Val_J(S) = Vert(shift of S).
@@ -201,11 +192,3 @@ class SupportSet:
             expl, gens = self._shifted(key)
             v = self._vals[key] = VertexSet(self.arity, expl + gens)
         return v
-
-    def bound(self) -> Point:
-        """Componentwise max over all explicit points and generators (0 if empty)."""
-        pts = self.explicit + self.cones
-        if not pts:
-            return (0,) * self.arity
-        return tuple(max(p[k] for p in pts) for k in range(self.arity))
-

@@ -76,12 +76,9 @@ class VertexSet:
         return VertexSet(self.arity, sums)
 
     def odot_power(self, n: int) -> "VertexSet":
-        """n-fold tropical product; n = 0 gives the unit."""
+        """n-fold tropical product {n*v}, as N(V+...+V) = n*N(V); n = 0 gives the unit."""
         if n < 0:
             raise ValueError("tropical powers require n >= 0")
-        acc = VertexSet.unit(self.arity)
-        for _ in range(n):
-            acc = acc.odot(self)
-            if acc.is_empty:
-                break
-        return acc
+        if n == 0:
+            return VertexSet.unit(self.arity)
+        return VertexSet(self.arity, tuple(tuple(n * c for c in p) for p in self.points))

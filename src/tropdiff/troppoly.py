@@ -88,8 +88,7 @@ class TropPolynomial:
 
     def eval(self, supports: Sequence[SupportSet]) -> VertexSet:
         """Tropical sum over all terms of a_M (*) eps_M(S), as Vert of their union."""
-        sets = self.term_sets(supports)
-        return VertexSet(self.arity, tuple(v for _, ts in sets for v in ts))
+        return is_solution(self, supports).evaluation
 
 
 def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
@@ -112,25 +111,6 @@ def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
             return VertexSet.empty(arity)
         acc = acc.odot(factor.odot_power(e))
     return acc
-
-
-def eval_monomial_minkowski(mono: TropMonomial, supports: Sequence[SupportSet], *,
-                            arity: int | None = None) -> VertexSet:
-    """Independent route: vertices of the support-level Minkowski sum.
-
-    Accumulates sum_{i,J} M_{i,J} * trop_derivative(J, S_i) inside the
-    support semiring and takes vertices once at the end, bypassing the
-    vertex-level products used by `eval_monomial`.
-    """
-    if arity is None:
-        if not supports:
-            raise ArityError("cannot infer arity from an empty support tuple")
-        arity = supports[0].arity
-    acc = SupportSet.origin(arity)
-    for key, e in mono.exponents:
-        shifted = supports[key.var - 1].trop_derivative(key.index)
-        acc = acc.minkowski(shifted.n_fold(e))
-    return acc.vertices()
 
 
 def tropicalize(poly: DiffPolynomial) -> TropPolynomial:

@@ -16,12 +16,20 @@ routine shared by finite and staircase sets.
 `orthant_contained_box` is the retired box scan for the orthant-promotion
 test of staircase normalization, and `enumerate_bruteforce` the retired
 enumeration loop that runs the full vanishing test on every candidate.
+
+`staircase_hull_2d` finds planar vertex sets by a monotone-chain sweep,
+with no LP and no `lattice` helper, and `eval_monomial_minkowski`
+evaluates a tropical monomial inside the support semiring, taking
+vertices once at the end instead of multiplying vertex sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
+
+from tropdiff import ArityError, SupportSet, TropMonomial, VertexSet, is_solution
 
 
 def member_2d(p, points) -> bool:
@@ -166,11 +174,55 @@ def orthant_contained_box(p, explicit, cones) -> bool:
 def enumerate_bruteforce(polys, box, max_points=None, nvars=1) -> list:
     """Every explicit-support tuple in [0, box]^m, each run through the full
     `is_solution` test for every polynomial, in the library's output order."""
-    from tropdiff import SupportSet, is_solution
-
     grid = sorted(product(*(range(b + 1) for b in box)))
     top = len(grid) if max_points is None else min(max_points, len(grid))
     components = [SupportSet(len(box), combo)
                   for k in range(top + 1) for combo in combinations(grid, k)]
     return [c for c in product(components, repeat=nvars)
             if all(is_solution(p, c).solution for p in polys)]
+
+
+def staircase_hull_2d(points) -> tuple:
+    """Planar vertex set by a monotone-chain sweep; LP-free cross-check.
+
+    Sorts the minimal antichain by first coordinate (second then strictly
+    decreases) and keeps exactly the points making a strictly convex
+    lower-left turn.  Agrees with `vertices_of_finite` for arity 2.
+    """
+    pts = sorted(set(map(tuple, points)))
+    if any(len(p) != 2 for p in pts):
+        raise ArityError("staircase_hull_2d requires arity 2")
+    minimal = [
+        x for x in pts
+        if not any(y != x and y[0] <= x[0] and y[1] <= x[1] for y in pts)
+    ]
+    chain = []
+    for q in minimal:
+        while len(chain) >= 2 and not _convex_turn(chain[-2], chain[-1], q):
+            chain.pop()
+        chain.append(q)
+    return tuple(chain)
+
+
+def _convex_turn(a, b, c) -> bool:
+    # strict lower-left convexity at b; collinear points are not vertices
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0
+
+
+def eval_monomial_minkowski(mono: TropMonomial, supports: Sequence[SupportSet], *,
+                            arity: int | None = None) -> VertexSet:
+    """Independent route: vertices of the support-level Minkowski sum.
+
+    Accumulates sum_{i,J} M_{i,J} * trop_derivative(J, S_i) inside the
+    support semiring and takes vertices once at the end, bypassing the
+    vertex-level products used by `eval_monomial`.
+    """
+    if arity is None:
+        if not supports:
+            raise ArityError("cannot infer arity from an empty support tuple")
+        arity = supports[0].arity
+    acc = SupportSet.origin(arity)
+    for key, e in mono.exponents:
+        shifted = supports[key.var - 1].trop_derivative(key.index)
+        acc = acc.minkowski(shifted.n_fold(e))
+    return acc.vertices()

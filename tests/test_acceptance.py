@@ -31,7 +31,6 @@ from tropdiff import (
     print_series,
     print_support,
     print_trop_poly,
-    staircase_hull_2d,
     tropicalize,
     tropicalize_sample,
     vertices_of_finite,
@@ -48,6 +47,7 @@ from gen import (
     rand_trop_poly,
     rand_vertex_set,
 )
+from oracles import staircase_hull_2d
 
 Q = FieldSpec()
 Q2 = FieldSpec(2)

@@ -131,6 +131,70 @@ class TestCheck:
         assert set(report) == {"evaluation", "witnesses", "solution"}
 
 
+class TestExactStdout:
+    CHECK = ("check", "-m", "2", "--poly", "x[0,0] - t1^2 - t2^3",
+             "--poly", "x[1,0] - x[0,1]", "--supports", "{(2,0),(0,2)}")
+    ENUMERATE = ("enumerate", "-m", "1", "--poly", "x[1] - x[0]",
+                 "--box", "2", "--max-points", "2")
+
+    def test_false_check_text(self, capsys):
+        code, out, _ = run(capsys, *self.CHECK)
+        assert code == 1
+        assert out == (
+            "{(0,3),(2,0)} + {(0,0)}*x1[0,0]\n"
+            "  evaluation: {(0,2),(2,0)}\n"
+            "  (0,2): monomials [1]\n"
+            "  (2,0): monomials [0, 1]\n"
+            "  solution: false\n"
+            "{(0,0)}*x1[0,1] + {(0,0)}*x1[1,0]\n"
+            "  evaluation: {(0,1),(1,0)}\n"
+            "  (0,1): monomials [0]\n"
+            "  (1,0): monomials [1]\n"
+            "  solution: false\n"
+            "overall solution: false\n"
+        )
+
+    def test_false_check_json(self, capsys):
+        code, out, _ = run(capsys, *self.CHECK, "--format", "json")
+        assert code == 1
+        payload = {
+            "polynomials": [
+                {
+                    "polynomial": "{(0,3),(2,0)} + {(0,0)}*x1[0,0]",
+                    "report": {
+                        "evaluation": [[0, 2], [2, 0]],
+                        "solution": False,
+                        "witnesses": {"(0,2)": [1], "(2,0)": [0, 1]},
+                    },
+                },
+                {
+                    "polynomial": "{(0,0)}*x1[0,1] + {(0,0)}*x1[1,0]",
+                    "report": {
+                        "evaluation": [[0, 1], [1, 0]],
+                        "solution": False,
+                        "witnesses": {"(0,1)": [0], "(1,0)": [1]},
+                    },
+                },
+            ],
+            "solution": False,
+        }
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_enumerate_text(self, capsys):
+        code, out, _ = run(capsys, *self.ENUMERATE)
+        assert code == 0
+        assert out == "{}\n{(0),(1)}\n2 solution(s)\n"
+
+    def test_enumerate_json(self, capsys):
+        code, out, _ = run(capsys, *self.ENUMERATE, "--format", "json")
+        assert code == 0
+        payload = {"solutions": [
+            [{"arity": 1, "cones": [], "explicit": []}],
+            [{"arity": 1, "cones": [], "explicit": [[0], [1]]}],
+        ]}
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestEvalDeriveEnumerate:
     def test_eval_known_root(self, capsys):
         code, out, _ = run(

@@ -8,7 +8,6 @@ from tropdiff import (
     DerivativeKey,
     DiffMonomial,
     DiffPolynomial,
-    DiffSystem,
     FieldSpec,
     ParseContext,
     PowerSeries,
@@ -185,17 +184,11 @@ class TestTropicalize:
             assert lhs == rhs
 
 
-class TestDiffSystem:
-    def test_requires_nonempty(self):
-        with pytest.raises(ValueError):
-            DiffSystem(())
-
+class TestDerivativeSample:
     def test_derivative_sample_count(self):
         assert len(tuple(derivative_sample((p1(),), 1))) == 4
         assert len(tuple(derivative_sample((p1(),), 0))) == 1
 
-
-class TestDerivativeSample:
     def test_matches_theta_in_product_order(self):
         rng = random.Random(41)
         truncated = PowerSeries.monomial(2, (3, 1), 2).truncate(5)

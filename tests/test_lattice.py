@@ -1,13 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropdiff import ArityError, member_newton, minimal_elements, staircase_hull_2d, vertices_of_finite
+from tropdiff import ArityError, as_point, member_newton, minimal_elements, vertices_of_finite
 
 from gen import rand_point, rand_points
-from oracles import grid_box, member_2d, member_newton_fraction, vertices_by_definition
+from oracles import (
+    grid_box,
+    member_2d,
+    member_newton_fraction,
+    staircase_hull_2d,
+    vertices_by_definition,
+)
 
 points_2d = st.lists(
     st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=0, max_size=8
@@ -19,6 +26,18 @@ def near_simplex(rng, m, c):
     cuts = sorted(rng.randint(0, c) for _ in range(m - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [c])]
     return tuple(x + rng.randint(0, c // 100) for x in parts)
+
+
+class TestAsPoint:
+    @pytest.mark.parametrize("bad", [(1.5,), (0.9, 2.7), ("2",), (1.0, 0), (Fraction(1),)])
+    def test_non_integer_coordinates_refused(self, bad):
+        with pytest.raises(ArityError):
+            as_point(bad)
+
+    @pytest.mark.parametrize("points", [[(1, 0)], []])
+    def test_member_newton_query_point(self, points):
+        with pytest.raises(ArityError):
+            member_newton((1.5, 0), points)
 
 
 class TestMemberNewton:

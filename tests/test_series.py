@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropdiff import (
+    ArityError,
     FieldElement,
     FieldError,
     FieldSpec,
@@ -95,6 +96,12 @@ class TestArithmetic:
         s = PowerSeries.monomial(2, (1, 0), 1).truncate(3)
         out = s.scalar_mul(0)
         assert out.is_zero and out.is_exact
+
+    def test_non_integer_exponent_refused(self):
+        with pytest.raises(ArityError):
+            PowerSeries(2, Q, (((1.5, 0), 1),))
+        with pytest.raises(ArityError):
+            PowerSeries.monomial(1, ("2",), 1)
 
 
 class TestDerive:

@@ -25,6 +25,11 @@ class TestNormalize:
     def test_explicit_absorbed_by_cone(self):
         assert S(2, [(2, 2)], [(1, 1)]) == S(2, [], [(1, 1)])
 
+    def test_non_integer_points_refused(self):
+        for explicit, cones in [([(1.5,)], []), ([], [(0.5,)]), ([("2",)], [])]:
+            with pytest.raises(ArityError):
+                SupportSet(1, tuple(explicit), tuple(cones))
+
     def test_dedupe(self):
         got = SupportSet(2, ((0, 3), (0, 3)))
         assert got.explicit == ((0, 3),) and got.cones == ()
@@ -198,6 +203,17 @@ class TestValMemo:
                 s.val(bad)
             s.val((1, 0))
             s.val((0, 0))
+
+    def test_float_shift_raises_and_stores_nothing(self):
+        s = S(1, [(1,), (3,)])
+        for _ in range(2):
+            with pytest.raises(ArityError):
+                s.val([1.5])
+            assert s._vals == {}
+        s.val([1])
+        with pytest.raises(ArityError):
+            s.val([1.5])
+        assert list(s._vals) == [(1,)]
 
 
 def _permuted(perm, points):

@@ -27,6 +27,10 @@ class TestConstruction:
         with pytest.raises(ArityError):
             V(2, (1, 2, 3))
 
+    def test_non_integer_points_refused(self):
+        with pytest.raises(ArityError):
+            VertexSet(2, [(0.9, 2.7)])
+
 
 class TestOplus:
     def test_absorbs_segment_point(self):
@@ -65,6 +69,16 @@ class TestOdotPower:
 
     def test_zero_is_unit(self):
         assert V(2, (3, 0)).odot_power(0) == VertexSet.unit(2)
+
+    def test_matches_left_fold_of_odot(self):
+        rng = random.Random(16)
+        for m in (1, 2, 3):
+            cases = [VertexSet.empty(m)] + [rand_vertex_set(rng, m) for _ in range(30)]
+            for v in cases:
+                fold = VertexSet.unit(m)
+                for n in range(6):
+                    assert v.odot_power(n) == fold, (v, n)
+                    fold = fold.odot(v)
 
 
 class TestSemiringAxioms:

@@ -15,7 +15,6 @@ from tropdiff import (
     VertexSet,
     enumerate_solutions,
     eval_monomial,
-    eval_monomial_minkowski,
     is_solution,
     is_solution_system,
     parse_diff_poly,
@@ -31,7 +30,7 @@ from gen import (
     rand_support,
     rand_trop_poly,
 )
-from oracles import enumerate_bruteforce
+from oracles import enumerate_bruteforce, eval_monomial_minkowski
 
 Q = FieldSpec()
 Q2 = FieldSpec(2)
