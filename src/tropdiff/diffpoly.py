@@ -11,8 +11,9 @@ derivative of phi_i for x_{i,J}.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ArityError, FieldError, PrecisionError
 from .field import RATIONALS, FieldElement, FieldSpec
@@ -26,6 +27,13 @@ class DerivativeKey:
 
     var: int
     index: Point
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "var", operator.index(self.var))
+        except TypeError:
+            raise ArityError(f"non-integer variable number {self.var!r}") from None
+        object.__setattr__(self, "index", as_point(self.index))
 
     def bump(self, k: int) -> "DerivativeKey":
         """Key of the derivative along axis k (1-based)."""
@@ -42,7 +50,10 @@ class DiffMonomial:
     def __post_init__(self):
         acc: dict[DerivativeKey, int] = {}
         for key, e in self.exponents:
-            acc[key] = acc.get(key, 0) + e
+            try:
+                acc[key] = acc.get(key, 0) + operator.index(e)
+            except TypeError:
+                raise ValueError(f"non-integer exponent {e!r} on {key}") from None
         for key, e in acc.items():
             if e < 0:
                 raise ValueError(f"negative exponent on {key}")
@@ -58,7 +69,7 @@ class DiffMonomial:
 
     @classmethod
     def variable(cls, var: int, index: Iterable[int], power: int = 1) -> "DiffMonomial":
-        return cls(((DerivativeKey(var, tuple(int(j) for j in index)), power),))
+        return cls(((DerivativeKey(var, index), power),))
 
     @property
     def is_constant(self) -> bool:
@@ -66,6 +77,14 @@ class DiffMonomial:
 
     def __mul__(self, other: "DiffMonomial") -> "DiffMonomial":
         return DiffMonomial(self.exponents + other.exponents)
+
+    def _check_keys(self, arity: int, nvars: int) -> None:
+        """Every key names one of `nvars` variables with an index of `arity` entries."""
+        for key, _ in self.exponents:
+            if not 1 <= key.var <= nvars:
+                raise ArityError(f"variable x{key.var} out of range for {nvars} variables")
+            if len(key.index) != arity:
+                raise ArityError(f"index {key.index} of x{key.var} is not of arity {arity}")
 
 
 @dataclass(frozen=True)
@@ -82,12 +101,7 @@ class DiffPolynomial:
             raise ArityError(f"nvars must be >= 1, got {self.nvars}")
         acc: dict[DiffMonomial, PowerSeries] = {}
         for mono, coef in self.terms:
-            for key, _ in mono.exponents:
-                if not 1 <= key.var <= self.nvars:
-                    raise ArityError(
-                        f"variable x{key.var} out of range for {self.nvars} variables"
-                    )
-                as_point(key.index, self.arity)
+            mono._check_keys(self.arity, self.nvars)
             if coef.arity != self.arity:
                 raise ArityError("coefficient arity differs from polynomial arity")
             if coef.field != self.field:
@@ -102,17 +116,6 @@ class DiffPolynomial:
                 if not coef.is_zero
             ),
         )
-
-    # ---------------------------------------------------------------- factories
-
-    @classmethod
-    def zero(cls, arity: int, nvars: int, field: FieldSpec = RATIONALS) -> "DiffPolynomial":
-        return cls(arity, nvars, field)
-
-    @classmethod
-    def monomial_poly(cls, arity: int, nvars: int, mono: DiffMonomial,
-                      coef: PowerSeries) -> "DiffPolynomial":
-        return cls(arity, nvars, coef.field, ((mono, coef),))
 
     @property
     def is_zero(self) -> bool:
@@ -220,21 +223,8 @@ class DiffPolynomial:
                 out.append((mono, PowerSeries.constant(self.arity, c0, self.field)))
         return DiffPolynomial(self.arity, self.nvars, self.field, tuple(out))
 
-    def eval_at_constants(
-        self,
-        values: Mapping[tuple[int, Point], FieldElement]
-        | Callable[[int, Point], FieldElement],
-    ) -> FieldElement:
-        """Evaluate a constant-coefficient polynomial at numbers x_{i,J} = a_{i,J}.
-
-        `values` is a mapping keyed by (var, index) or a callable; missing
-        keys count as zero.
-        """
-        if callable(values):
-            lookup = values
-        else:
-            zero = self.field.zero
-            lookup = lambda i, j: values.get((i, j), zero)  # noqa: E731
+    def eval_at_constants(self, values: Callable[[int, Point], FieldElement]) -> FieldElement:
+        """Evaluate a constant-coefficient polynomial at numbers x_{i,J} = values(i, J)."""
         origin = (0,) * self.arity
         total = self.field.zero
         for mono, coef in self.terms:
@@ -242,7 +232,7 @@ class DiffPolynomial:
                 raise ValueError("eval_at_constants needs constant coefficients")
             v = coef.coeff(origin)
             for key, e in mono.exponents:
-                v = v * lookup(key.var, key.index) ** e
+                v = v * values(key.var, key.index) ** e
                 if v.is_zero:
                     break
             total = total + v

@@ -9,6 +9,7 @@ zero test a = b = 0 is exact because sqrt(d) is irrational.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,11 +24,24 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.d is not None:
-            if self.d < 2 or math.isqrt(self.d) ** 2 == self.d:
-                raise FieldError(f"d must be a nonsquare integer >= 2, got {self.d}")
+            try:
+                d = operator.index(self.d)
+            except TypeError:
+                d = 0  # not an integer: refused below
+            if d < 2 or math.isqrt(d) ** 2 == d:
+                raise FieldError(f"d must be a nonsquare integer >= 2, got {self.d!r}")
+            object.__setattr__(self, "d", d)
 
     def __call__(self, a: RationalLike = 0, b: RationalLike = 0) -> "FieldElement":
-        return FieldElement(self, Fraction(a), Fraction(b))
+        return FieldElement(self, a, b)
+
+    def coerce(self, c: "FieldElement | RationalLike") -> "FieldElement":
+        """`c` as an element of this field: an element of it, an int or a Fraction."""
+        if isinstance(c, FieldElement):
+            if c.field is not self and c.field != self:
+                raise FieldError(f"mixed fields {self} and {c.field}")
+            return c
+        return FieldElement(self, c)
 
     @property
     def zero(self) -> "FieldElement":
@@ -46,6 +60,13 @@ class FieldSpec:
 RATIONALS = FieldSpec()
 
 
+def _rational(x: RationalLike) -> Fraction:
+    """An exact part of a field element; a float or a string is refused."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise FieldError(f"field elements take int or Fraction parts, got {x!r}")
+
+
 @dataclass(frozen=True)
 class FieldElement:
     """a + b*sqrt(d) with exact rational a, b; b = 0 over the plain rationals."""
@@ -55,16 +76,16 @@ class FieldElement:
     b: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", _rational(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", _rational(self.b))
         if self.field.d is None and self.b != 0:
             raise FieldError("irrational part in a plain rational field element")
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError(f"mixed fields {self.field} and {other.field}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, Fraction(other))
+        if isinstance(other, (FieldElement, int, Fraction)):
+            return self.field.coerce(other)
         return NotImplemented
 
     @property

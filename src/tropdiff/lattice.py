@@ -35,7 +35,7 @@ def as_point(coords: Iterable[int], arity: int | None = None) -> Point:
         raise ArityError(f"expected a point of arity {arity}, got {p}")
     if not p:
         raise ArityError("points must have at least one coordinate")
-    if any(c < 0 for c in p):
+    if min(p) < 0:
         raise ArityError(f"negative coordinate in lattice point {p}")
     return p
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import ArityError, FieldError, PrecisionError
@@ -51,10 +50,7 @@ class PowerSeries:
         acc: dict[Point, FieldElement] = {}
         for exp, c in self.terms:
             p = as_point(exp, self.arity)
-            if not isinstance(c, FieldElement):
-                c = FieldElement(self.field, Fraction(c))
-            if c.field != self.field:
-                raise FieldError("coefficient from a different field")
+            c = self.field.coerce(c)
             acc[p] = acc[p] + c if p in acc else c
         cleaned = tuple(
             (p, c)
@@ -76,20 +72,12 @@ class PowerSeries:
 
     @classmethod
     def constant(cls, arity: int, c, field: FieldSpec = RATIONALS) -> "PowerSeries":
-        if isinstance(c, FieldElement):
-            field = c.field
-        else:
-            c = FieldElement(field, Fraction(c))
-        return cls(arity, field, (((0,) * arity, c),))
+        return cls.monomial(arity, (0,) * arity, c, field)
 
     @classmethod
     def monomial(cls, arity: int, exponent: Iterable[int], c,
                  field: FieldSpec = RATIONALS) -> "PowerSeries":
-        if isinstance(c, FieldElement):
-            field = c.field
-        else:
-            c = FieldElement(field, Fraction(c))
-        return cls(arity, field, ((as_point(exponent, arity), c),))
+        return cls(arity, field, ((exponent, c),))
 
     @classmethod
     def variable(cls, arity: int, k: int, field: FieldSpec = RATIONALS) -> "PowerSeries":
@@ -161,10 +149,7 @@ class PowerSeries:
         return PowerSeries(self.arity, self.field, tuple(acc.items()), prec)
 
     def scalar_mul(self, c) -> "PowerSeries":
-        if not isinstance(c, FieldElement):
-            c = FieldElement(self.field, Fraction(c))
-        elif c.field != self.field:
-            raise FieldError("scalar from a different field")
+        c = self.field.coerce(c)
         if c.is_zero:
             return PowerSeries.zero(self.arity, self.field)
         return PowerSeries(

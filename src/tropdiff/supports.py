@@ -148,8 +148,7 @@ class SupportSet:
                 break
         return acc
 
-    def _shifted(self, shift: Iterable[int]) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-        j = as_point(shift, self.arity)
+    def _shifted(self, j: Point) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
         expl = tuple(
             tuple(a - b for a, b in zip(t, j)) for t in self.explicit if leq(j, t)
         )
@@ -163,7 +162,7 @@ class SupportSet:
         generator is clamped at zero componentwise, since the shifted
         orthant always meets the lattice.
         """
-        return SupportSet(self.arity, *self._shifted(shift))
+        return SupportSet(self.arity, *self._shifted(as_point(shift, self.arity)))
 
     def vertices(self) -> VertexSet:
         """Vertex set of the denoted (possibly infinite) staircase set: Val_0(S).
@@ -183,10 +182,10 @@ class SupportSet:
         without normalizing them into a SupportSet first: normalization
         only drops points inside cones and reshapes the generators, so the
         Newton polygon, and with it the vertex set, is unchanged.  Each
-        result is memoized on the set, so every caller shares one Val_J per
-        shift; an invalid shift raises before anything is stored.
+        result is memoized on the set under the validated shift, so every
+        caller shares one Val_J per shift; an invalid shift always raises.
         """
-        key = tuple(shift)
+        key = as_point(shift, self.arity)
         v = self._vals.get(key)
         if v is None:
             expl, gens = self._shifted(key)

@@ -245,7 +245,7 @@ class _Parser:
         return poly
 
     def _term(self, coef: PowerSeries, mono: DiffMonomial = DiffMonomial.one()) -> DiffPolynomial:
-        return DiffPolynomial.monomial_poly(self.ctx.arity, self.ctx.nvars, mono, coef)
+        return DiffPolynomial(self.ctx.arity, self.ctx.nvars, self.ctx.field, ((mono, coef),))
 
     def _const_poly(self, c: FieldElement) -> DiffPolynomial:
         return self._term(PowerSeries.constant(self.ctx.arity, c, self.ctx.field))

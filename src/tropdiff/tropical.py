@@ -28,11 +28,7 @@ class VertexSet:
     def __post_init__(self):
         if self.arity < 1:
             raise ArityError(f"arity must be >= 1, got {self.arity}")
-        pts = canon(self.points)
-        if pts and len(pts[0]) != self.arity:
-            raise ArityError(
-                f"points of arity {len(pts[0])} in a VertexSet of arity {self.arity}"
-            )
+        pts = canon(self.points, self.arity)
         # pts is canonical already: skip the second canon in vertices_of_finite
         object.__setattr__(self, "points", _vertices_cached(pts))
 

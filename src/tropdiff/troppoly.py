@@ -41,12 +41,7 @@ class TropPolynomial:
             raise ArityError(f"nvars must be >= 1, got {self.nvars}")
         acc: dict[TropMonomial, VertexSet] = {}
         for mono, coef in self.terms:
-            for key, _ in mono.exponents:
-                if not 1 <= key.var <= self.nvars:
-                    raise ArityError(
-                        f"variable x{key.var} out of range for {self.nvars} variables"
-                    )
-                as_point(key.index, self.arity)
+            mono._check_keys(self.arity, self.nvars)
             if coef.arity != self.arity:
                 raise ArityError("coefficient arity differs from polynomial arity")
             if coef.is_empty:
@@ -147,7 +142,6 @@ class SolutionReport:
     evaluation: VertexSet
     witnesses: tuple[tuple[Point, tuple[int, ...]], ...]
     solution: bool
-    monomials: tuple[TropMonomial, ...]
 
 
 def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> SolutionReport:
@@ -166,7 +160,6 @@ def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> Solutio
         evaluation=evaluation,
         witnesses=tuple(witnesses),
         solution=verdict,
-        monomials=poly.monomials(),
     )
 
 
@@ -216,9 +209,7 @@ def enumerate_solutions(
     Polynomials are tried in order and the first false verdict ends a
     candidate, as in the plain scan.
     """
-    box = tuple(int(b) for b in box)
-    if any(b < 0 for b in box):
-        raise ArityError("box bounds must be nonnegative")
+    box = as_point(box)
     if max_points is not None and max_points < 0:
         raise ValueError("max_points must be >= 0")
     arity = len(box)

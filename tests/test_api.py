@@ -1,7 +1,9 @@
 """The public surface of the package, pinned name by name."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import tropdiff
@@ -80,3 +82,20 @@ def test_no_oracle_in_the_package():
     for module in modules:
         for name in ORACLES:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+# Modules that read digits from text; everywhere else `int()` would
+# truncate a float coordinate, index or exponent instead of refusing it.
+INT_READERS = {"textio.py", "cli.py"}
+
+
+def test_int_only_reads_text():
+    calls = []
+    for path in sorted(pathlib.Path(tropdiff.__file__).parent.glob("*.py")):
+        if path.name in INT_READERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "int"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

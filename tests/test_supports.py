@@ -213,6 +213,8 @@ class TestValMemo:
         s.val([1])
         with pytest.raises(ArityError):
             s.val([1.5])
+        with pytest.raises(ArityError):
+            s.val([1.0])
         assert list(s._vals) == [(1,)]
 
 
