@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import examples as fixtures
+from .diffpoly import derivative_sample
 from .errors import ParseError, TropdiffError
 from .field import FieldSpec
 from .lattice import Point
@@ -159,11 +160,18 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     ctx = _context(args)
     polys = _load_system(args, ctx)
-    sample = tropicalize_sample(polys, args.derive_bound)
     box = _parse_multi_index(args.box, ctx)
     cap = args.max_candidates
     if cap is None:
-        cap = int(os.environ.get("TROPDIFF_MAX_CANDIDATES", DEFAULT_CANDIDATE_CAP))
+        text = os.environ.get("TROPDIFF_MAX_CANDIDATES", str(DEFAULT_CANDIDATE_CAP))
+        try:
+            cap = int(text)
+        except ValueError:
+            raise TropdiffError(
+                f"TROPDIFF_MAX_CANDIDATES must be an integer, got {text!r}"
+            ) from None
+    # Passed lazily: the candidate cap is checked before any derivative.
+    sample = (tropicalize(q) for q in derivative_sample(polys, args.derive_bound))
     solutions = enumerate_solutions(
         sample, box, args.max_points, nvars=ctx.nvars, max_candidates=cap
     )

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArityError, CandidateCapError
 from .diffpoly import DiffMonomial, DiffPolynomial, derivative_sample
-from .lattice import Point, as_point
+from .lattice import Point, as_point, leq
 from .supports import SupportSet
 from .tropical import VertexSet
 
@@ -174,6 +174,18 @@ def is_solution_system(
 # -------------------------------------------------------------------- enumeration
 
 
+class _Memo(dict):
+    """A dict that computes and keeps the value of a missing key."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 def count_candidates(box: Point, max_points: int | None, nvars: int) -> int:
     """Number of explicit-support tuples inside the box, before filtering."""
     grid = 1
@@ -185,7 +197,7 @@ def count_candidates(box: Point, max_points: int | None, nvars: int) -> int:
 
 
 def enumerate_solutions(
-    polys: Sequence[TropPolynomial],
+    polys: Iterable[TropPolynomial],
     box: Iterable[int],
     max_points: int | None = None,
     *,
@@ -196,57 +208,120 @@ def enumerate_solutions(
 
     Candidates are finite point sets with at most `max_points` points per
     component (no cone generators).  The scan is refused up front when the
-    candidate count exceeds `max_candidates`.  Output order is
+    candidate count exceeds `max_candidates`, before `polys` is read past
+    its first member (when `nvars` is not given), so a lazily passed
+    derivative sample is never built for a refused box.  Output order is
     deterministic: per component, subsets by size then lexicographic point
     list, and tuples in product order (last component fastest).
 
-    `is_solution(p, S)` reads S only through Val_J(S_i) for the derivative
-    keys x_{i,J} that p mentions, so its verdict is a function of p's
-    signature: those vertex sets over p's sorted keys, which each component
-    memoizes in `SupportSet.val`.  The scan calls `is_solution` once per
-    distinct signature of each polynomial; every other candidate reuses
-    the memoized verdict, which is exact.
-    Polynomials are tried in order and the first false verdict ends a
-    candidate, as in the plain scan.
+    A component is a bitmask over the sorted box grid.  `is_solution(p, S)`
+    reads S only through Val_J(S_i) for the derivative keys x_{i,J} that p
+    mentions, and Val_J(S_i) reads only the restriction r = S_i & M_J to the
+    orthant mask M_J of J + Z^m_>=0.  A Newton polygon depends only on the
+    minimal points of its set, so Val_J(S_i) = Vert(min r) - J.  Each
+    restriction gets a vertex id, memoized per r: `VertexSet` computes
+    Vert(min r) once per distinct minimal antichain, and ids are interned
+    by their vertex points.  The signature of p at a candidate is the tuple
+    of ids over p's sorted keys; the position fixes J, so equal signatures
+    mean equal valuations and an equal, exact verdict.  The scan calls
+    `is_solution` once per distinct signature of each polynomial, on
+    `SupportSet`s built only then and for emitted solutions.  Polynomials
+    are tried in order and the first false verdict ends a candidate, as in
+    the plain scan.
     """
     box = as_point(box)
     if max_points is not None and max_points < 0:
         raise ValueError("max_points must be >= 0")
+    if max_candidates < 0:
+        raise ValueError("max_candidates must be >= 0")
     arity = len(box)
-    polys = list(polys)
+    polys = iter(polys)
     if nvars is None:
-        if not polys:
+        first = next(polys, None)
+        if first is None:
             raise ArityError("nvars is required when the system is empty")
-        nvars = polys[0].nvars
+        nvars = first.nvars
+        polys = itertools.chain((first,), polys)
+    estimate = count_candidates(box, max_points, nvars)
+    if estimate > max_candidates:
+        raise CandidateCapError(estimate, max_candidates)
+    polys = list(polys)
     for p in polys:
         if p.nvars != nvars or p.arity != arity:
             raise ArityError("system members disagree on arity or variable count")
 
-    estimate = count_candidates(box, max_points, nvars)
-    if estimate > max_candidates:
-        raise CandidateCapError(estimate, max_candidates)
-
     grid = sorted(itertools.product(*(range(b + 1) for b in box)))
     top = len(grid) if max_points is None else min(max_points, len(grid))
-    component: list[SupportSet] = []
-    for k in range(top + 1):
-        for combo in itertools.combinations(grid, k):
-            component.append(SupportSet(arity, combo))
+    masks = [
+        sum(1 << i for i in combo)
+        for k in range(top + 1)
+        for combo in itertools.combinations(range(len(grid)), k)
+    ]
+    # below[i]: the grid points strictly below grid[i].  A point q < p
+    # precedes p in lexicographic order, so each mask is built from those
+    # of the lower neighbours p - e_k, already in the list.  A set of at
+    # most one point is its own antichain, so the masks are only needed
+    # when a component can hold two points.
+    position = {p: i for i, p in enumerate(grid)}
+    below: list[int] = []
+    for p in grid if top > 1 else ():
+        mask = 0
+        for k, c in enumerate(p):
+            if c:
+                q = position[p[:k] + (c - 1,) + p[k + 1:]]
+                mask |= below[q] | 1 << q
+        below.append(mask)
 
-    # One verdict memo per polynomial, keyed by its signature.
-    keyed = [
-        (p, sorted({key for mono in p.monomials() for key, _ in mono.exponents}), {})
+    def points(mask: int) -> tuple[Point, ...]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(grid[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def antichain(r: int) -> int:
+        a = r
+        rest = r if r & (r - 1) else 0
+        while rest:
+            low = rest & -rest
+            if below[low.bit_length() - 1] & r:
+                a ^= low
+            rest ^= low
+        return a
+
+    # Vert(min r) is computed once per distinct antichain; ids are interned
+    # by vertex points, so equal vertex sets share one id.
+    vertex_ids: dict[tuple[Point, ...], int] = {}
+    antichain_ids = _Memo(lambda a: vertex_ids.setdefault(
+        VertexSet(arity, points(a)).points, len(vertex_ids)))
+    ids = _Memo(lambda r: antichain_ids[antichain(r)])
+    supports = _Memo(lambda mask: SupportSet(arity, points(mask)))
+
+    key_sets = [
+        sorted({key for mono in p.monomials() for key, _ in mono.exponents})
         for p in polys
     ]
+    # M_J: the grid points in J + Z^m_>=0.
+    orthants = {
+        j: sum(1 << i for i, q in enumerate(grid) if leq(j, q))
+        for j in {key.index for keys in key_sets for key in keys}
+    }
+    # One verdict memo per polynomial, keyed by its signature.
+    keyed = [
+        (p, [(k.var - 1, orthants[k.index]) for k in keys], {})
+        for p, keys in zip(polys, key_sets)
+    ]
     out = []
-    for candidate in itertools.product(component, repeat=nvars):
+    for candidate in itertools.product(masks, repeat=nvars):
         for p, keys, memo in keyed:
-            sig = tuple(candidate[k.var - 1].val(k.index).points for k in keys)
+            sig = tuple([ids[candidate[v] & m] for v, m in keys])
             verdict = memo.get(sig)
             if verdict is None:
-                verdict = memo[sig] = is_solution(p, candidate).solution
+                verdict = memo[sig] = is_solution(
+                    p, tuple([supports[c] for c in candidate])).solution
             if not verdict:
                 break
         else:
-            out.append(candidate)
+            out.append(tuple([supports[c] for c in candidate]))
     return out

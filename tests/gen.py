@@ -86,13 +86,14 @@ def rand_diff_poly(rng: random.Random, m: int, n: int, field: FieldSpec = FieldS
     return DiffPolynomial(m, n, field, terms)
 
 
-def rand_trop_poly(rng: random.Random, m: int, n: int, max_terms: int = 3) -> TropPolynomial:
+def rand_trop_poly(rng: random.Random, m: int, n: int, max_terms: int = 3,
+                   order: int = 1) -> TropPolynomial:
     terms = []
     for _ in range(rng.randint(0, max_terms)):
         coef = rand_vertex_set(rng, m)
         if coef.is_empty:
             coef = VertexSet.unit(m)
-        terms.append((rand_diff_monomial(rng, m, n), coef))
+        terms.append((rand_diff_monomial(rng, m, n, order), coef))
     return TropPolynomial(m, n, tuple(terms))
 
 

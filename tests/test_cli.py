@@ -260,6 +260,21 @@ class TestEvalDeriveEnumerate:
         )
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize("option, env, message", [
+        (("--max-candidates", "-5"), None, "max_candidates must be >= 0"),
+        ((), "-5", "max_candidates must be >= 0"),
+        ((), "abc", "TROPDIFF_MAX_CANDIDATES must be an integer, got 'abc'"),
+        ((), " 7 ", "enumeration would visit an estimated 8 candidate tuples, "
+                    "exceeding the cap of 7"),
+    ], ids=["option-negative", "env-negative", "env-not-int", "env-spaces"])
+    def test_enumerate_cap_errors_exit_2(self, capsys, monkeypatch, option, env, message):
+        if env is not None:
+            monkeypatch.setenv("TROPDIFF_MAX_CANDIDATES", env)
+        code, out, err = run(capsys, "enumerate", "-m", "1", "--poly", "x[0]",
+                             "--box", "2", *option)
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: {message}"
+
     def test_enumerate_json(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "-m", "1", "-n", "1",
@@ -355,6 +370,19 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.strip() == "internal error: RuntimeError: boom"
         assert "Traceback" not in out + err
+
+    def test_cap_refused_before_sampling(self):
+        # 2^31 candidates: refused before any of the 200000 derivatives
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        env.pop("TROPDIFF_MAX_CANDIDATES", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropdiff", "enumerate", "-m", "1",
+             "--poly", "x[1]-x[0]", "--box", "30", "--derive-bound", "200000"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.strip().endswith("exceeding the cap of 100000")
 
     def test_deep_nesting_exit_2_without_traceback(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -288,6 +288,36 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="max_points must be >= 0"):
             enumerate_solutions([tropicalize(poly_73())], (2,), -1, nvars=1)
 
+    def test_negative_cap_refused(self):
+        with pytest.raises(ValueError, match="max_candidates must be >= 0"):
+            enumerate_solutions([], (1,), nvars=1, max_candidates=-5)
+
+    def test_cap_checked_before_reading_polys(self):
+        def sample():
+            raise AssertionError("the sample was read")
+            yield
+
+        with pytest.raises(CandidateCapError):
+            enumerate_solutions(sample(), (30,), nvars=1)
+
+    def test_builds_few_support_sets(self, monkeypatch):
+        # [0,3]x[0,2] has 4096 components; a SupportSet is built only for a
+        # candidate whose signature misses its verdict memo, or a solution
+        ctx = ParseContext(arity=2, nvars=1)
+        sample = tropicalize_sample(
+            [parse_diff_poly("x1[1,0]*x1[0,1] - x1[0,0]", ctx)], 1)
+        built = []
+        init = SupportSet.__post_init__
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(SupportSet, "__post_init__", counting_init)
+        sols = enumerate_solutions(sample, (3, 2), nvars=1)
+        assert len(built) < 4096 // 3
+        assert len(sols) == 753 and ((1, 1),) in [s.explicit for (s,) in sols]
+
     def test_matches_bruteforce_scan(self):
         # the signature memo must give the plain scan's list, in its order
         rng = random.Random(53)
@@ -300,6 +330,26 @@ class TestEnumerate:
             max_points = rng.choice([None, 1, 2])
             polys = [rand_trop_poly(rng, m, n) for _ in range(rng.randint(1, 3))]
             cases.append((polys, box, max_points, n))
+        # arity 3: eight grid points, so two variables take at most one each
+        for _ in range(8):
+            n = rng.randint(1, 2)
+            max_points = rng.choice([None, 2]) if n == 1 else 1
+            polys = [rand_trop_poly(rng, 3, n) for _ in range(rng.randint(1, 2))]
+            cases.append((polys, (1, 1, 1), max_points, n))
+        # derivative orders up to 3 put many J outside the box: empty restrictions
+        for _ in range(15):
+            m, n = rng.randint(1, 2), rng.randint(1, 2)
+            box = rng.choice(boxes[m])
+            polys = [rand_trop_poly(rng, m, n, order=3) for _ in range(rng.randint(1, 3))]
+            cases.append((polys, box, rng.choice([None, 2]), n))
+        # on [0,2]^2 many components share a minimal antichain per key, and
+        # {(0,2),(1,1),(2,0)} and {(0,2),(2,0)} share their vertex set
+        ctx = ParseContext(arity=2, nvars=1)
+        for text in ("x1[0,0]^2 + t1*t2*x1[1,1] + x1[1,0]*x1[0,1]",
+                     "x1[1,1]*x1[0,0] + x1[1,0]*x1[0,1]",
+                     "t1*t2*x1[1,1] + x1[0,0] + t1^2*t2^2"):
+            polys = [tropicalize(parse_diff_poly(text, ctx))]
+            cases.append((polys, (2, 2), None, 1))
         found = 0
         for polys, box, max_points, n in cases:
             got = enumerate_solutions(polys, box, max_points, nvars=n)
