@@ -221,13 +221,13 @@ def enumerate_solutions(
     minimal points of its set, so Val_J(S_i) = Vert(min r) - J.  Each
     restriction gets a vertex id, memoized per r: `VertexSet` computes
     Vert(min r) once per distinct minimal antichain, and ids are interned
-    by their vertex points.  The signature of p at a candidate is the tuple
-    of ids over p's sorted keys; the position fixes J, so equal signatures
-    mean equal valuations and an equal, exact verdict.  The scan calls
-    `is_solution` once per distinct signature of each polynomial, on
-    `SupportSet`s built only then and for emitted solutions.  Polynomials
-    are tried in order and the first false verdict ends a candidate, as in
-    the plain scan.
+    by their vertex points.  Each component's ids are computed once, one
+    per J, from its mask.  The signature of p at a candidate is the tuple of ids over p's
+    sorted keys; the position fixes J, so equal signatures mean equal
+    valuations and an equal, exact verdict.  The scan calls `is_solution`
+    once per distinct signature of each polynomial, on `SupportSet`s built
+    only then and for emitted solutions.  Polynomials are tried in order
+    and the first false verdict ends a candidate, as in the plain scan.
     """
     box = as_point(box)
     if max_points is not None and max_points < 0:
@@ -252,25 +252,20 @@ def enumerate_solutions(
 
     grid = sorted(itertools.product(*(range(b + 1) for b in box)))
     top = len(grid) if max_points is None else min(max_points, len(grid))
-    masks = [
-        sum(1 << i for i in combo)
-        for k in range(top + 1)
-        for combo in itertools.combinations(range(len(grid)), k)
-    ]
     # below[i]: the grid points strictly below grid[i].  A point q < p
     # precedes p in lexicographic order, so each mask is built from those
-    # of the lower neighbours p - e_k, already in the list.  A set of at
-    # most one point is its own antichain, so the masks are only needed
-    # when a component can hold two points.
-    position = {p: i for i, p in enumerate(grid)}
+    # of the lower neighbours p - e_k, already in the list.  Only
+    # restrictions of two or more points read it.
     below: list[int] = []
-    for p in grid if top > 1 else ():
-        mask = 0
-        for k, c in enumerate(p):
-            if c:
-                q = position[p[:k] + (c - 1,) + p[k + 1:]]
-                mask |= below[q] | 1 << q
-        below.append(mask)
+    if top > 1:
+        position = {p: i for i, p in enumerate(grid)}
+        for p in grid:
+            mask = 0
+            for k, c in enumerate(p):
+                if c:
+                    q = position[p[:k] + (c - 1,) + p[k + 1:]]
+                    mask |= below[q] | 1 << q
+            below.append(mask)
 
     def points(mask: int) -> tuple[Point, ...]:
         out = []
@@ -281,8 +276,7 @@ def enumerate_solutions(
         return tuple(out)
 
     def antichain(r: int) -> int:
-        a = r
-        rest = r if r & (r - 1) else 0
+        a = rest = r
         while rest:
             low = rest & -rest
             if below[low.bit_length() - 1] & r:
@@ -290,32 +284,47 @@ def enumerate_solutions(
             rest ^= low
         return a
 
-    # Vert(min r) is computed once per distinct antichain; ids are interned
-    # by vertex points, so equal vertex sets share one id.
+    # Vert(min r) is computed once per distinct antichain, and ids are
+    # interned by vertex points, so equal vertex sets share one id.
     vertex_ids: dict[tuple[Point, ...], int] = {}
-    antichain_ids = _Memo(lambda a: vertex_ids.setdefault(
-        VertexSet(arity, points(a)).points, len(vertex_ids)))
-    ids = _Memo(lambda r: antichain_ids[antichain(r)])
-    supports = _Memo(lambda mask: SupportSet(arity, points(mask)))
+    antichain_ids = _Memo(lambda pts: vertex_ids.setdefault(
+        VertexSet(arity, pts).points, len(vertex_ids)))
+    ids = _Memo(lambda r: antichain_ids[points(antichain(r))])
+
+    def vertex_id(r: int) -> int:
+        # A mask is as long as the grid; a set of at most one point is its
+        # own antichain, so only larger restrictions are memoized by mask.
+        return ids[r] if r & (r - 1) else antichain_ids[points(r)]
 
     key_sets = [
         sorted({key for mono in p.monomials() for key, _ in mono.exponents})
         for p in polys
     ]
-    # M_J: the grid points in J + Z^m_>=0.
-    orthants = {
-        j: sum(1 << i for i, q in enumerate(grid) if leq(j, q))
-        for j in {key.index for keys in key_sets for key in keys}
-    }
+    shifts = sorted({key.index for keys in key_sets for key in keys})
+    # M_J: the grid points in J + Z^m_>=0, one per derivative index J.
+    orthants = [sum(1 << i for i, q in enumerate(grid) if leq(j, q)) for j in shifts]
+    # Components by size, then lexicographic; row c holds the vertex ids
+    # of component c's restrictions, one column per J.
+    components = [
+        combo for k in range(top + 1)
+        for combo in itertools.combinations(range(len(grid)), k)
+    ]
+    rows = []
+    for combo in components:
+        mask = sum(1 << i for i in combo)
+        rows.append(tuple([vertex_id(mask & m) for m in orthants]))
+    supports = _Memo(lambda c: SupportSet(arity, tuple(grid[i] for i in components[c])))
+
     # One verdict memo per polynomial, keyed by its signature.
+    column = {j: col for col, j in enumerate(shifts)}
     keyed = [
-        (p, [(k.var - 1, orthants[k.index]) for k in keys], {})
+        (p, [(k.var - 1, column[k.index]) for k in keys], {})
         for p, keys in zip(polys, key_sets)
     ]
     out = []
-    for candidate in itertools.product(masks, repeat=nvars):
+    for candidate in itertools.product(range(len(rows)), repeat=nvars):
         for p, keys, memo in keyed:
-            sig = tuple([ids[candidate[v] & m] for v, m in keys])
+            sig = tuple([rows[candidate[v]][col] for v, col in keys])
             verdict = memo.get(sig)
             if verdict is None:
                 verdict = memo[sig] = is_solution(
