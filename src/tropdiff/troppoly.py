@@ -10,6 +10,7 @@ the evaluation is empty).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -174,18 +175,6 @@ def is_solution_system(
 # -------------------------------------------------------------------- enumeration
 
 
-class _Memo(dict):
-    """A dict that computes and keeps the value of a missing key."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 def count_candidates(box: Point, max_points: int | None, nvars: int) -> int:
     """Number of explicit-support tuples inside the box, before filtering."""
     grid = 1
@@ -287,14 +276,19 @@ def enumerate_solutions(
     # Vert(min r) is computed once per distinct antichain, and ids are
     # interned by vertex points, so equal vertex sets share one id.
     vertex_ids: dict[tuple[Point, ...], int] = {}
-    antichain_ids = _Memo(lambda pts: vertex_ids.setdefault(
-        VertexSet(arity, pts).points, len(vertex_ids)))
-    ids = _Memo(lambda r: antichain_ids[points(antichain(r))])
+
+    @functools.cache
+    def antichain_id(pts: tuple[Point, ...]) -> int:
+        return vertex_ids.setdefault(VertexSet(arity, pts).points, len(vertex_ids))
+
+    @functools.cache
+    def restriction_id(r: int) -> int:
+        return antichain_id(points(antichain(r)))
 
     def vertex_id(r: int) -> int:
         # A mask is as long as the grid; a set of at most one point is its
         # own antichain, so only larger restrictions are memoized by mask.
-        return ids[r] if r & (r - 1) else antichain_ids[points(r)]
+        return restriction_id(r) if r & (r - 1) else antichain_id(points(r))
 
     key_sets = [
         sorted({key for mono in p.monomials() for key, _ in mono.exponents})
@@ -313,7 +307,10 @@ def enumerate_solutions(
     for combo in components:
         mask = sum(1 << i for i in combo)
         rows.append(tuple([vertex_id(mask & m) for m in orthants]))
-    supports = _Memo(lambda c: SupportSet(arity, tuple(grid[i] for i in components[c])))
+
+    @functools.cache
+    def support(c: int) -> SupportSet:
+        return SupportSet(arity, tuple(grid[i] for i in components[c]))
 
     # One verdict memo per polynomial, keyed by its signature.
     column = {j: col for col, j in enumerate(shifts)}
@@ -328,9 +325,9 @@ def enumerate_solutions(
             verdict = memo.get(sig)
             if verdict is None:
                 verdict = memo[sig] = is_solution(
-                    p, tuple([supports[c] for c in candidate])).solution
+                    p, tuple([support(c) for c in candidate])).solution
             if not verdict:
                 break
         else:
-            out.append(tuple([supports[c] for c in candidate]))
+            out.append(tuple([support(c) for c in candidate]))
     return out
