@@ -11,7 +11,6 @@ import json
 import os
 import sys
 
-from . import examples as fixtures
 from .diffpoly import derivative_sample
 from .errors import ParseError, TropdiffError
 from .field import FieldSpec
@@ -138,9 +137,10 @@ def cmd_check(args) -> int:
         )
     sample = tropicalize_sample(polys, args.derive_bound)
     ok, reports = is_solution_system(sample, supports)
+    printed = [print_trop_poly(p) for p in sample]
     lines = []
-    for p, r in zip(sample, reports):
-        lines.append(print_trop_poly(p))
+    for text, r in zip(printed, reports):
+        lines.append(text)
         lines.append(f"  evaluation: {print_vertex_set(r.evaluation)}")
         for v, idx in r.witnesses:
             lines.append(f"  {print_point(v)}: monomials {list(idx)}")
@@ -149,8 +149,8 @@ def cmd_check(args) -> int:
     payload = {
         "solution": ok,
         "polynomials": [
-            {"polynomial": print_trop_poly(p), "report": report_to_json(r)}
-            for p, r in zip(sample, reports)
+            {"polynomial": text, "report": report_to_json(r)}
+            for text, r in zip(printed, reports)
         ],
     }
     _emit(args, "\n".join(lines), payload)
@@ -183,6 +183,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    # imported here: no other command needs the fixtures, and each CLI call
+    # compiles what it imports when no bytecode cache is written
+    from . import examples as fixtures
+
     results = fixtures.run_all()
     ok = all(r.passed for r in results)
     lines = []

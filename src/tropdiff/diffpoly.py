@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ArityError, FieldError, PrecisionError
+from .errors import ArityError, FieldError, PrecisionError, SampleCapError
 from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_point
 from .series import PowerSeries
@@ -35,10 +35,18 @@ class DerivativeKey:
             raise ArityError(f"non-integer variable number {self.var!r}") from None
         object.__setattr__(self, "index", as_point(self.index))
 
+    @classmethod
+    def _trusted(cls, var: int, index: Point) -> "DerivativeKey":
+        """The key of an int variable and a valid point, without the checks."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "var", var)
+        object.__setattr__(key, "index", index)
+        return key
+
     def bump(self, k: int) -> "DerivativeKey":
         """Key of the derivative along axis k (1-based)."""
         idx = self.index[: k - 1] + (self.index[k - 1] + 1,) + self.index[k:]
-        return DerivativeKey(self.var, idx)
+        return DerivativeKey._trusted(self.var, idx)
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,13 @@ class DiffMonomial:
             "exponents",
             tuple((k, e) for k, e in sorted(acc.items()) if e > 0),
         )
+
+    @classmethod
+    def _trusted(cls, exponents: tuple[tuple[DerivativeKey, int], ...]) -> "DiffMonomial":
+        """A monomial from distinct sorted keys with positive int exponents."""
+        mono = object.__new__(cls)
+        object.__setattr__(mono, "exponents", exponents)
+        return mono
 
     @classmethod
     def one(cls) -> "DiffMonomial":
@@ -117,6 +132,21 @@ class DiffPolynomial:
             ),
         )
 
+    @classmethod
+    def _trusted(cls, arity: int, nvars: int, field: FieldSpec,
+                 terms: tuple[tuple[DiffMonomial, PowerSeries], ...]) -> "DiffPolynomial":
+        """A polynomial from terms as `__post_init__` leaves them, without the checks.
+
+        The monomials must be distinct, sorted by exponents and in range for
+        `(arity, nvars)`; the coefficients nonzero series of `arity` over `field`.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -163,14 +193,67 @@ class DiffPolynomial:
     # ---------------------------------------------------------------- derivations
 
     def derive(self, k: int) -> "DiffPolynomial":
-        """One derivation along axis k: Leibniz over variables plus d(alpha)/dt_k."""
-        out: list[tuple[DiffMonomial, PowerSeries]] = []
+        """One derivation along axis k: Leibniz over variables plus d(alpha)/dt_k.
+
+        The contributions are summed per monomial in plain dicts, and each
+        monomial, series and the polynomial are built once, as the validated
+        constructors would leave them: a sum's precision is the least of its
+        parts', and terms of total degree at or beyond it, zero sums and
+        coefficients with no known terms are dropped.
+        """
+        if not 1 <= k <= self.arity:
+            raise ArityError(f"axis {k} out of range for arity {self.arity}")
+        field = self.field
+        # exponents -> [{point: coefficient}, precision]
+        acc: dict[tuple, list] = {}
+
+        def add(exponents, terms, prec) -> None:
+            entry = acc.get(exponents)
+            if entry is None:
+                acc[exponents] = [dict(terms), prec]
+                return
+            sums = entry[0]
+            for p, c in terms:
+                s = sums.get(p)
+                sums[p] = c if s is None else FieldElement._trusted(field, s.a + c.a, s.b + c.b)
+            if prec is not None and (entry[1] is None or prec < entry[1]):
+                entry[1] = prec
+
+        # Exponents are keyed by plain (var, index) pairs, which order, hash
+        # and compare as their keys do, but without a Python-level call.
+        keys: dict[tuple[int, Point], DerivativeKey] = {}
         for mono, coef in self.terms:
-            out.append((mono, coef.derive(k)))
+            plain = []
             for key, e in mono.exponents:
-                shifted = DiffMonomial(mono.exponents + ((key, -1), (key.bump(k), 1)))
-                out.append((shifted, coef.scalar_mul(e)))
-        return DiffPolynomial(self.arity, self.nvars, self.field, tuple(out))
+                pair = key.var, key.index
+                keys[pair] = key
+                plain.append((pair, e))
+            d = coef.derive(k)
+            add(tuple(plain), d.terms, d.precision)
+            for (pair, e), (key, _) in zip(plain, mono.exponents):
+                # x_{i,J}^e -> e * x_{i,J}^(e-1) * x_{i,J+e_k}
+                counts = dict(plain)
+                if e == 1:
+                    del counts[pair]
+                else:
+                    counts[pair] = e - 1
+                bumped = key.bump(k)
+                pair = bumped.var, bumped.index
+                keys.setdefault(pair, bumped)
+                counts[pair] = counts.get(pair, 0) + 1
+                scaled = coef.terms if e == 1 else [(p, c._scaled(e)) for p, c in coef.terms]
+                add(tuple(sorted(counts.items())), scaled, coef.precision)
+
+        terms = []
+        for exponents, (sums, prec) in sorted(acc.items()):
+            kept = tuple(
+                (p, c) for p, c in sorted(sums.items())
+                if c and (prec is None or sum(p) < prec)
+            )
+            if kept:
+                mono = DiffMonomial._trusted(tuple((keys[pair], e) for pair, e in exponents))
+                terms.append((mono, PowerSeries._trusted(self.arity, field, kept, prec)))
+        return DiffPolynomial._trusted(self.arity, self.nvars, field, tuple(terms))
 
     def theta(self, shift: Iterable[int]) -> "DiffPolynomial":
         """Iterated derivations per the multi-index `shift`."""
@@ -239,8 +322,15 @@ class DiffPolynomial:
         return total
 
 
+# The most polynomials `derivative_sample` yields: |polys|*(bound+1)^m.
+MAX_SAMPLE_SIZE = 10_000
+
+
 def derivative_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[DiffPolynomial]:
     """Yield theta(I)(P) for each P in polys and ||I||_inf <= bound, in product order of I.
+
+    A sample of more than MAX_SAMPLE_SIZE polynomials is refused with
+    `SampleCapError` on the first `next`, before any derivation.
 
     For I != 0 let k be the last axis with I_k > 0.  theta(I)(P) is
     theta(I - e_k)(P) derived once more along axis k; `theta` applies the
@@ -252,6 +342,14 @@ def derivative_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[D
     """
     if bound < 0:
         raise ValueError("derivative bound must be >= 0")
+    polys = list(polys)
+    # (bound+1)^a > MAX_SAMPLE_SIZE for a >= its bit length, unless bound = 0:
+    # a clamped exponent keeps the estimate cheap for any arity
+    cap_bits = MAX_SAMPLE_SIZE.bit_length()
+    size = sum((bound + 1) ** min(p.arity, cap_bits) for p in polys)
+    if size > MAX_SAMPLE_SIZE:
+        raise SampleCapError(f"the derivative sample would hold {size} or more "
+                             f"polynomials, exceeding the cap of {MAX_SAMPLE_SIZE}")
     for p in polys:
         # row[j] = theta(I_1, .., I_{j+1}, 0, .., 0)(P) for the current I
         row = [p] * p.arity

@@ -40,3 +40,7 @@ class CandidateCapError(TropdiffError, RuntimeError):
             f"enumeration would visit an estimated {estimate} candidate tuples, "
             f"exceeding the cap of {cap}"
         )
+
+
+class SampleCapError(TropdiffError, RuntimeError):
+    """A derivative sample refused: it would hold more polynomials than the cap."""

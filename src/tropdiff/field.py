@@ -83,6 +83,19 @@ class FieldElement:
         if self.field.d is None and self.b != 0:
             raise FieldError("irrational part in a plain rational field element")
 
+    @classmethod
+    def _trusted(cls, field: FieldSpec, a: Fraction, b: Fraction) -> "FieldElement":
+        """a + b*sqrt(d) from Fraction parts that fit `field`, without the checks."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "field", field)
+        object.__setattr__(c, "a", a)
+        object.__setattr__(c, "b", b)
+        return c
+
+    def _scaled(self, n: int) -> "FieldElement":
+        """self * n for a Python int n, without coercing n into the field."""
+        return FieldElement._trusted(self.field, self.a * n, self.b * n if self.b else self.b)
+
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, (FieldElement, int, Fraction)):
             return self.field.coerce(other)

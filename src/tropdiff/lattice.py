@@ -63,7 +63,11 @@ def add(p: Point, q: Point) -> Point:
 
 def minimal_elements(points: Iterable[Point]) -> tuple[Point, ...]:
     """The antichain of componentwise-minimal points."""
-    pts = canon(points)
+    return _minimal(canon(points))
+
+
+def _minimal(pts: tuple[Point, ...]) -> tuple[Point, ...]:
+    """The minimal points of `pts`, in their order."""
     return tuple(
         p for p in pts if not any(q != p and leq(q, p) for q in pts)
     )
@@ -149,7 +153,8 @@ def member_newton(p: Iterable[int], points: Iterable[Iterable[int]]) -> bool:
 
 @lru_cache(maxsize=1 << 16)
 def _vertices_cached(points: tuple[Point, ...]) -> tuple[Point, ...]:
-    mins = minimal_elements(points)
+    """Vertex set of canonical points (as `canon` returns them), in their order."""
+    mins = _minimal(points)
     return tuple(
         x
         for x in mins

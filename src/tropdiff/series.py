@@ -60,6 +60,21 @@ class PowerSeries:
         )
         object.__setattr__(self, "terms", cleaned)
 
+    @classmethod
+    def _trusted(cls, arity: int, field: FieldSpec, terms: tuple[tuple[Point, FieldElement], ...],
+                 precision: int | None) -> "PowerSeries":
+        """A series from terms as `__post_init__` leaves them, without the checks.
+
+        The points must be valid, of `arity`, distinct, sorted and of total
+        degree below `precision`; the coefficients nonzero elements of `field`.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "arity", arity)
+        object.__setattr__(s, "field", field)
+        object.__setattr__(s, "terms", terms)
+        object.__setattr__(s, "precision", precision)
+        return s
+
     # ---------------------------------------------------------------- factories
 
     @classmethod
@@ -152,7 +167,8 @@ class PowerSeries:
         c = self.field.coerce(c)
         if c.is_zero:
             return PowerSeries.zero(self.arity, self.field)
-        return PowerSeries(
+        # a field has no zero divisors: the terms stay nonzero and in order
+        return PowerSeries._trusted(
             self.arity, self.field,
             tuple((p, c * v) for p, v in self.terms), self.precision,
         )
@@ -182,9 +198,10 @@ class PowerSeries:
             if p[i] == 0:
                 continue
             q = p[:i] + (p[i] - 1,) + p[i + 1:]
-            terms.append((q, c * p[i]))
+            terms.append((q, c._scaled(p[i])))
         prec = None if self.precision is None else max(self.precision - 1, 0)
-        return PowerSeries(self.arity, self.field, tuple(terms), prec)
+        # p -> p - e_k keeps the order and lowers the degree by one
+        return PowerSeries._trusted(self.arity, self.field, tuple(terms), prec)
 
     def theta(self, shift: Iterable[int]) -> "PowerSeries":
         """Iterated derivative: axis k applied shift[k] times."""
@@ -207,7 +224,7 @@ class PowerSeries:
         """Vertex set of the support; exact series only."""
         if self.precision is not None:
             raise PrecisionError("the tropicalization of a truncated series is unknowable")
-        return VertexSet(self.arity, tuple(p for p, _ in self.terms))
+        return VertexSet._trusted(self.arity, tuple(p for p, _ in self.terms))
 
     # ---------------------------------------------------------------- coefficients
 

@@ -181,13 +181,15 @@ class SupportSet:
         Built from the shifted explicit points and clamped generators
         without normalizing them into a SupportSet first: normalization
         only drops points inside cones and reshapes the generators, so the
-        Newton polygon, and with it the vertex set, is unchanged.  Each
-        result is memoized on the set under the validated shift, so every
-        caller shares one Val_J per shift; an invalid shift always raises.
+        Newton polygon, and with it the vertex set, is unchanged.  The
+        shifted points are nonnegative by construction, so they are not
+        validated again.  Each result is memoized on the set under the
+        validated shift, so every caller shares one Val_J per shift; an
+        invalid shift always raises.
         """
         key = as_point(shift, self.arity)
         v = self._vals.get(key)
         if v is None:
             expl, gens = self._shifted(key)
-            v = self._vals[key] = VertexSet(self.arity, expl + gens)
+            v = self._vals[key] = VertexSet._trusted_unsorted(self.arity, expl + gens)
         return v

@@ -33,6 +33,19 @@ class VertexSet:
         object.__setattr__(self, "points", _vertices_cached(pts))
 
     @classmethod
+    def _trusted(cls, arity: int, points: tuple[Point, ...]) -> "VertexSet":
+        """Vertex set of canonical points of `arity`, without validating them."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "arity", arity)
+        object.__setattr__(v, "points", _vertices_cached(points))
+        return v
+
+    @classmethod
+    def _trusted_unsorted(cls, arity: int, points: Iterable[Point]) -> "VertexSet":
+        """Vertex set of valid points of `arity`, deduplicated and sorted here."""
+        return cls._trusted(arity, tuple(sorted(set(points))))
+
+    @classmethod
     def empty(cls, arity: int) -> "VertexSet":
         return cls(arity)
 
@@ -61,15 +74,15 @@ class VertexSet:
     def oplus(self, other: "VertexSet") -> "VertexSet":
         """Tropical sum: vertex set of the union."""
         self._check(other)
-        return VertexSet(self.arity, self.points + other.points)
+        return VertexSet._trusted_unsorted(self.arity, self.points + other.points)
 
     def odot(self, other: "VertexSet") -> "VertexSet":
         """Tropical product: vertex set of the Minkowski sum; empty annihilates."""
         self._check(other)
         if self.is_empty or other.is_empty:
-            return VertexSet.empty(self.arity)
-        sums = tuple(add(p, q) for p in self.points for q in other.points)
-        return VertexSet(self.arity, sums)
+            return self if self.is_empty else other
+        return VertexSet._trusted_unsorted(
+            self.arity, [add(p, q) for p in self.points for q in other.points])
 
     def odot_power(self, n: int) -> "VertexSet":
         """n-fold tropical product {n*v}, as N(V+...+V) = n*N(V); n = 0 gives the unit."""
@@ -77,4 +90,5 @@ class VertexSet:
             raise ValueError("tropical powers require n >= 0")
         if n == 0:
             return VertexSet.unit(self.arity)
-        return VertexSet(self.arity, tuple(tuple(n * c for c in p) for p in self.points))
+        # scaling by n >= 1 keeps the points canonical
+        return VertexSet._trusted(self.arity, tuple(tuple(n * c for c in p) for p in self.points))

@@ -55,6 +55,16 @@ class TropPolynomial:
         )
 
     @classmethod
+    def _trusted(cls, arity: int, nvars: int,
+                 terms: tuple[tuple[TropMonomial, VertexSet], ...]) -> "TropPolynomial":
+        """A polynomial from terms as `__post_init__` leaves them, without the checks."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    @classmethod
     def zero(cls, arity: int, nvars: int) -> "TropPolynomial":
         return cls(arity, nvars)
 
@@ -74,13 +84,23 @@ class TropPolynomial:
             if s.arity != self.arity:
                 raise ArityError("support arity differs from polynomial arity")
 
-    def term_sets(self, supports: Sequence[SupportSet]) -> tuple[tuple[TropMonomial, VertexSet], ...]:
-        """Per-term vertex sets a_M (*) eps_M(S), in canonical monomial order."""
+    def term_sets(self, supports: Sequence[SupportSet], *,
+                  values: dict | None = None) -> tuple[tuple[TropMonomial, VertexSet], ...]:
+        """Per-term vertex sets a_M (*) eps_M(S), in canonical monomial order.
+
+        `values` may map monomials to eps_M(S) at these same supports; the
+        monomials evaluated here are added to it.
+        """
         self._check_supports(supports)
-        return tuple(
-            (mono, coef.odot(eval_monomial(mono, supports, arity=self.arity)))
-            for mono, coef in self.terms
-        )
+        if values is None:
+            values = {}
+        out = []
+        for mono, coef in self.terms:
+            v = values.get(mono)
+            if v is None:
+                v = values[mono] = eval_monomial(mono, supports, arity=self.arity)
+            out.append((mono, coef.odot(v)))
+        return tuple(out)
 
     def eval(self, supports: Sequence[SupportSet]) -> VertexSet:
         """Tropical sum over all terms of a_M (*) eps_M(S), as Vert of their union."""
@@ -113,9 +133,10 @@ def tropicalize(poly: DiffPolynomial) -> TropPolynomial:
     """Replace each coefficient series by its vertex set, monomials verbatim.
 
     Coefficients must be exact; they are nonzero by construction, so every
-    tropical coefficient is a nonempty vertex set.
+    tropical coefficient is a nonempty vertex set, and the terms keep the
+    checked, canonical order of `poly`.
     """
-    return TropPolynomial(
+    return TropPolynomial._trusted(
         poly.arity,
         poly.nvars,
         tuple((mono, coef.trop()) for mono, coef in poly.terms),
@@ -145,15 +166,19 @@ class SolutionReport:
     solution: bool
 
 
-def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> SolutionReport:
-    """Tropical vanishing test for one polynomial at a support tuple."""
-    sets = poly.term_sets(supports)
+def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet], *,
+                values: dict | None = None) -> SolutionReport:
+    """Tropical vanishing test for one polynomial at a support tuple.
+
+    `values` is the monomial memo of `TropPolynomial.term_sets`.
+    """
+    sets = poly.term_sets(supports, values=values)
     # Vert(union of the Vert T_i) = Vert(union of the T_i): one (+) over all terms
-    evaluation = VertexSet(poly.arity, tuple(v for _, ts in sets for v in ts))
+    evaluation = VertexSet._trusted_unsorted(poly.arity, [v for _, ts in sets for v in ts])
     witnesses = []
     verdict = True
     for v in evaluation.points:
-        found = tuple(i for i, (_, ts) in enumerate(sets) if ts.member(v))
+        found = tuple(i for i, (_, ts) in enumerate(sets) if v in ts.points)
         witnesses.append((v, found))
         if len(found) < 2:
             verdict = False
@@ -167,8 +192,12 @@ def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> Solutio
 def is_solution_system(
     polys: Iterable[TropPolynomial], supports: Sequence[SupportSet]
 ) -> tuple[bool, tuple[SolutionReport, ...]]:
-    """Conjunction of `is_solution` over a family; empty families hold trivially."""
-    reports = tuple(is_solution(p, supports) for p in polys)
+    """Conjunction of `is_solution` over a family; empty families hold trivially.
+
+    The supports are fixed, so each monomial is evaluated once for the family.
+    """
+    values: dict[TropMonomial, VertexSet] = {}
+    reports = tuple(is_solution(p, supports, values=values) for p in polys)
     return all(r.solution for r in reports), reports
 
 

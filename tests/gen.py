@@ -51,13 +51,14 @@ def rand_field_element(rng: random.Random, field: FieldSpec, nonzero: bool = Fal
 
 
 def rand_series(rng: random.Random, m: int, field: FieldSpec = FieldSpec(),
-                hi: int = 3, kmax: int = 3, nonzero: bool = False) -> PowerSeries:
+                hi: int = 3, kmax: int = 3, nonzero: bool = False,
+                precision: int | None = None) -> PowerSeries:
     while True:
         terms = tuple(
             (rand_point(rng, m, hi), rand_field_element(rng, field, nonzero=True))
             for _ in range(rng.randint(0, kmax))
         )
-        s = PowerSeries(m, field, terms)
+        s = PowerSeries(m, field, terms, precision)
         if not (nonzero and s.is_zero):
             return s
 

@@ -21,6 +21,11 @@ enumeration loop that runs the full vanishing test on every candidate.
 with no LP and no `lattice` helper, and `eval_monomial_minkowski`
 evaluates a tropical monomial inside the support semiring, taking
 vertices once at the end instead of multiplying vertex sets.
+
+`derive_validated` is the retired `DiffPolynomial.derive`: it rebuilds
+every term through the public, validating constructors and lets
+`DiffPolynomial` sum them, where the library sums in plain dicts and
+builds each value once without re-validating it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,17 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from tropdiff import ArityError, SupportSet, TropMonomial, VertexSet, is_solution
+from tropdiff import (
+    ArityError,
+    DerivativeKey,
+    DiffMonomial,
+    DiffPolynomial,
+    PowerSeries,
+    SupportSet,
+    TropMonomial,
+    VertexSet,
+    is_solution,
+)
 
 
 def member_2d(p, points) -> bool:
@@ -226,3 +241,22 @@ def eval_monomial_minkowski(mono: TropMonomial, supports: Sequence[SupportSet], 
         shifted = supports[key.var - 1].trop_derivative(key.index)
         acc = acc.minkowski(shifted.n_fold(e))
     return acc.vertices()
+
+
+def derive_validated(poly: DiffPolynomial, k: int) -> DiffPolynomial:
+    """One derivation along axis k by the Leibniz rule, one validated term at a time."""
+    i = k - 1
+    arity, field = poly.arity, poly.field
+    out = []
+    for mono, coef in poly.terms:
+        prec = None if coef.precision is None else max(coef.precision - 1, 0)
+        d_coef = tuple(
+            (p[:i] + (p[i] - 1,) + p[i + 1:], c * p[i]) for p, c in coef.terms if p[i]
+        )
+        out.append((mono, PowerSeries(arity, field, d_coef, prec)))
+        for key, e in mono.exponents:
+            bumped = DerivativeKey(key.var, key.index[:i] + (key.index[i] + 1,) + key.index[i + 1:])
+            shifted = DiffMonomial(mono.exponents + ((key, -1), (bumped, 1)))
+            scaled = tuple((p, c * e) for p, c in coef.terms)
+            out.append((shifted, PowerSeries(arity, field, scaled, coef.precision)))
+    return DiffPolynomial(arity, poly.nvars, field, tuple(out))

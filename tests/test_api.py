@@ -99,3 +99,22 @@ def test_int_only_reads_text():
                     and node.func.id == "int"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+# Outside input enters through textio.py and cli.py, so it must go through
+# the validating constructors there; the `_trusted` ones skip every check.
+INPUT_READERS = ("textio.py", "cli.py")
+TRUSTED_OWNERS = ("FieldElement", "DerivativeKey", "DiffMonomial", "PowerSeries",
+                  "DiffPolynomial", "VertexSet", "TropPolynomial")
+
+
+def test_no_trusted_construction_of_input():
+    for name in TRUSTED_OWNERS:
+        assert hasattr(getattr(tropdiff, name), "_trusted"), name
+    calls = []
+    for name in INPUT_READERS:
+        path = pathlib.Path(tropdiff.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_trusted"):
+                calls.append(f"{name}:{node.lineno}")
+    assert calls == []

@@ -384,6 +384,23 @@ class TestUsageErrors:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.strip().endswith("exceeding the cap of 100000")
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "-m", "1", "--poly", "x[1]-x[0]", "--supports", "{(0)}",
+         "--derive-bound", "100000"],
+        ["enumerate", "-m", "1", "--poly", "x[1]-x[0]", "--box", "1",
+         "--derive-bound", "200000"],
+    ])
+    def test_sample_cap_refused_before_sampling(self, argv):
+        # few or no candidates, but over 100000 derivatives: the sample is refused
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        env.pop("TROPDIFF_MAX_CANDIDATES", None)
+        proc = subprocess.run([sys.executable, "-m", "tropdiff", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: the derivative sample would hold")
+        assert proc.stderr.strip().endswith("exceeding the cap of 10000")
+
     def test_deep_nesting_exit_2_without_traceback(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

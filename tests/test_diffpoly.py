@@ -18,6 +18,8 @@ from tropdiff import (
     parse_series,
     tropicalize,
 )
+from tropdiff.diffpoly import MAX_SAMPLE_SIZE
+from tropdiff.errors import SampleCapError
 from tropdiff.series import factorial_of
 
 from gen import (
@@ -235,3 +237,24 @@ class TestDerivativeSample:
     def test_negative_bound(self):
         with pytest.raises(ValueError):
             tuple(derivative_sample((p1(),), -1))
+
+    def test_cap_refused_before_any_derivation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(DiffPolynomial, "derive", lambda self, k: calls.append(k))
+        line = parse_diff_poly("x1[1] - x1[0]", CTX73)
+        # exactly MAX_SAMPLE_SIZE entries are admitted, one more is refused
+        assert next(derivative_sample([line], MAX_SAMPLE_SIZE - 1)) is line
+        assert next(derivative_sample([line, line], MAX_SAMPLE_SIZE // 2 - 1)) is line
+        for polys, k in (([line], MAX_SAMPLE_SIZE), ([line, line], MAX_SAMPLE_SIZE // 2),
+                         ([p1()], 100)):
+            sample = derivative_sample(polys, k)
+            with pytest.raises(SampleCapError, match="exceeding the cap of 10000"):
+                next(sample)
+        assert calls == []
+
+    def test_cap_estimate_at_any_arity(self):
+        # (k+1)^m is never computed in full, so a large arity costs nothing
+        wide = DiffPolynomial(10_000, 1)
+        assert next(derivative_sample([wide], 0)) is wide
+        with pytest.raises(SampleCapError):
+            next(derivative_sample([wide], 10**6))

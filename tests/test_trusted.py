@@ -1,0 +1,231 @@
+"""Trusted construction: values valid by construction skip re-validation.
+
+Each private `_trusted` constructor must give the value the public
+constructor gives on the same input, and each value a trusted path builds
+must come back unchanged through the public constructor.  `derive`, which
+sums in plain dicts and builds its result on trusted paths only, is checked
+against `oracles.derive_validated`, which goes through the public ones.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from tropdiff import (
+    DerivativeKey,
+    DiffMonomial,
+    DiffPolynomial,
+    FieldElement,
+    FieldSpec,
+    ParseContext,
+    PowerSeries,
+    TropPolynomial,
+    VertexSet,
+    derivative_sample,
+    is_solution,
+    parse_diff_poly,
+    tropicalize,
+)
+from tropdiff.lattice import add, canon
+
+from gen import (
+    rand_diff_monomial,
+    rand_diff_poly,
+    rand_field_element,
+    rand_fraction,
+    rand_point,
+    rand_points,
+    rand_series,
+    rand_support,
+    rand_trop_poly,
+    rand_vertex_set,
+)
+from oracles import derive_validated
+
+Q = FieldSpec()
+Q2 = FieldSpec(2)
+
+
+def shuffled(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    return tuple(items)
+
+
+def revalidated(v: VertexSet) -> VertexSet:
+    return VertexSet(v.arity, v.points)
+
+
+def test_field_element():
+    rng = random.Random(91)
+    for field in (Q, Q2):
+        for _ in range(100):
+            a = rand_fraction(rng)
+            b = rand_fraction(rng) if field.d is not None else Fraction(0)
+            c = FieldElement._trusted(field, a, b)
+            assert c == field(a, b) and hash(c) == hash(field(a, b))
+            for n in range(5):
+                assert c._scaled(n) == c * n
+
+
+def test_derivative_key():
+    rng = random.Random(92)
+    for m in (1, 2, 3):
+        for _ in range(50):
+            var, idx = rng.randint(1, 3), rand_point(rng, m, 4)
+            key = DerivativeKey._trusted(var, idx)
+            assert key == DerivativeKey(var, idx) and hash(key) == hash(DerivativeKey(var, idx))
+            for k in range(1, m + 1):
+                bumped = tuple(j + (i == k - 1) for i, j in enumerate(idx))
+                assert key.bump(k) == DerivativeKey(var, bumped)
+
+
+def test_diff_monomial():
+    rng = random.Random(93)
+    for m in (1, 2, 3):
+        for _ in range(50):
+            mono = rand_diff_monomial(rng, m, 2, order=2, max_keys=4, max_exp=3)
+            raw = shuffled(rng, mono.exponents)
+            assert DiffMonomial._trusted(mono.exponents) == DiffMonomial(raw)
+
+
+def test_power_series():
+    rng = random.Random(94)
+    for m, field in itertools.product((1, 2, 3), (Q, Q2)):
+        for _ in range(30):
+            precision = rng.choice((None, 2, 4, 6))
+            s = rand_series(rng, m, field, hi=3, kmax=5, precision=precision)
+            trusted = PowerSeries._trusted(m, field, s.terms, s.precision)
+            assert trusted == PowerSeries(m, field, shuffled(rng, s.terms), precision)
+            for k in range(1, m + 1):
+                d = s.derive(k)
+                assert d == PowerSeries(m, field, d.terms, d.precision)
+            c = rand_field_element(rng, field, nonzero=True)
+            scaled = s.scalar_mul(c)
+            assert scaled == PowerSeries(m, field, tuple((p, c * v) for p, v in s.terms),
+                                         s.precision)
+
+
+def test_vertex_set():
+    rng = random.Random(95)
+    for m in (1, 2, 3):
+        for _ in range(60):
+            pts = rand_points(rng, m, 5, 8)
+            raw = shuffled(rng, pts + pts[: rng.randint(0, len(pts))])
+            want = VertexSet(m, pts)
+            assert VertexSet._trusted_unsorted(m, raw) == want
+            assert VertexSet._trusted(m, canon(raw, m)) == want
+
+
+def test_vertex_set_operations():
+    rng = random.Random(96)
+    for m in (1, 2, 3):
+        for _ in range(40):
+            a, b = rand_vertex_set(rng, m, kmax=4), rand_vertex_set(rng, m, kmax=4)
+            prod = a.odot(b)
+            assert prod == revalidated(prod)
+            if not (a.is_empty or b.is_empty):
+                assert prod == VertexSet(m, [add(p, q) for p in a for q in b])
+            assert a.oplus(b) == VertexSet(m, a.points + b.points)
+            for n in range(1, 4):
+                assert a.odot_power(n) == VertexSet(m, [tuple(n * c for c in p) for p in a])
+            s = rand_support(rng, m)
+            for shift in itertools.product(range(3), repeat=m):
+                v = s.val(shift)
+                assert v == revalidated(v)
+            series = rand_series(rng, m, Q, kmax=5)
+            assert series.trop() == VertexSet(m, [p for p, _ in series.terms])
+
+
+def test_trop_polynomial_and_evaluation():
+    rng = random.Random(97)
+    for m, n in itertools.product((1, 2), (1, 2)):
+        for _ in range(20):
+            p = rand_diff_poly(rng, m, n, Q)
+            tp = tropicalize(p)
+            assert tp == TropPolynomial(m, n, tuple((mono, c.trop()) for mono, c in p.terms))
+            tq = rand_trop_poly(rng, m, n)
+            supports = tuple(rand_support(rng, m) for _ in range(n))
+            ev = is_solution(tq, supports).evaluation
+            assert ev == revalidated(ev)
+
+
+def test_diff_polynomial():
+    rng = random.Random(98)
+    for m, n, field in itertools.product((1, 2), (1, 2), (Q, Q2)):
+        for _ in range(20):
+            p = rand_diff_poly(rng, m, n, field, max_terms=4)
+            trusted = DiffPolynomial._trusted(m, n, field, p.terms)
+            assert trusted == DiffPolynomial(m, n, field, shuffled(rng, p.terms))
+
+
+def cancelling(m: int, n: int, k: int, var: int, index, c: FieldElement) -> DiffPolynomial:
+    """c*t_k*x_{var,J+e_k} - c*x_{var,J}: its derivative along k loses x_{var,J+e_k}."""
+    field = c.field
+    up = tuple(j + (i == k - 1) for i, j in enumerate(index))
+    return DiffPolynomial(m, n, field, (
+        (DiffMonomial.variable(var, up), PowerSeries.variable(m, k, field).scalar_mul(c)),
+        (DiffMonomial.variable(var, index), PowerSeries.constant(m, -c, field)),
+    ))
+
+
+def test_derive_matches_validated_oracle():
+    rng = random.Random(99)
+    cases = 0
+    for field, m, n in itertools.product((Q, Q2), (1, 2, 3), (1, 2)):
+        for _ in range(8):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                mono = rand_diff_monomial(rng, m, n, order=2, max_keys=3, max_exp=3)
+                precision = rng.choice((None, None, 1, 2, 3, 5))
+                coef = rand_series(rng, m, field, hi=3, kmax=4, nonzero=True,
+                                   precision=precision)
+                if not coef.is_zero:
+                    terms.append((mono, coef))
+            p = DiffPolynomial(m, n, field, tuple(terms))
+            k = rng.randint(1, m)
+            pair = cancelling(m, n, k, rng.randint(1, n), rand_point(rng, m, 2),
+                              rand_field_element(rng, field, nonzero=True))
+            for q in (p, pair, p + pair, p * p):
+                for axis in range(1, m + 1):
+                    d = q.derive(axis)
+                    assert d == derive_validated(q, axis)
+                    assert d.derive(k) == derive_validated(d, k)
+                    cases += 1
+    assert cases > 500
+
+
+def test_derive_drops_cancelled_monomials():
+    for field in (Q, Q2):
+        p = cancelling(2, 1, 1, 1, (0, 1), field(3))
+        d = p.derive(1)
+        assert d == derive_validated(p, 1)
+        assert d.monomials() == (DiffMonomial.variable(1, (2, 1)),)
+
+
+def test_derive_refuses_bad_axis():
+    p = parse_diff_poly("x[1] - x[0]", ParseContext(arity=1, nvars=1))
+    for k in (0, 2):
+        with pytest.raises(ValueError):
+            p.derive(k)
+
+
+def test_sample_builds_nothing_through_validation(monkeypatch):
+    ctx = ParseContext(arity=2, nvars=2, field=Q2)
+    polys = [parse_diff_poly(text, ctx) for text in (
+        "x1[1,0]^2 - 4*x1[0,0]", "x1[1,1]*x2[0,1] - x1[0,0] + 1", "x2[2,0] - x1[1,0]")]
+    calls = []
+    for cls in (PowerSeries, DiffMonomial, DiffPolynomial):
+        original = cls.__post_init__
+
+        def counting(self, original=original):
+            calls.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    sample = tuple(derivative_sample(polys, 2))
+    assert len(sample) == 27 and calls == []
+    DiffMonomial()  # the counter does count a validated construction
+    assert calls == ["DiffMonomial"]
