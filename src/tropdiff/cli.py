@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .diffpoly import derivative_sample
@@ -161,20 +160,10 @@ def cmd_enumerate(args) -> int:
     ctx = _context(args)
     polys = _load_system(args, ctx)
     box = _parse_multi_index(args.box, ctx)
-    cap = args.max_candidates
-    if cap is None:
-        text = os.environ.get("TROPDIFF_MAX_CANDIDATES", str(DEFAULT_CANDIDATE_CAP))
-        try:
-            cap = int(text)
-        except ValueError:
-            raise TropdiffError(
-                f"TROPDIFF_MAX_CANDIDATES must be an integer, got {text!r}"
-            ) from None
     # Passed lazily: the candidate cap is checked before any derivative.
     sample = (tropicalize(q) for q in derivative_sample(polys, args.derive_bound))
-    solutions = enumerate_solutions(
-        sample, box, args.max_points, nvars=ctx.nvars, max_candidates=cap
-    )
+    solutions = enumerate_solutions(sample, box, args.max_points, nvars=ctx.nvars,
+                                    max_candidates=args.max_candidates)
     lines = [" ; ".join(print_support(s) for s in tup) for tup in solutions]
     lines.append(f"{len(solutions)} solution(s)")
     payload = {"solutions": [[support_to_json(s) for s in tup] for tup in solutions]}
@@ -267,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--poly", action="append", default=None)
     p.add_argument("--box", required=True, help="componentwise bound, e.g. '(5)' or '2,2'")
     p.add_argument("--max-points", type=int, default=None)
-    p.add_argument("--max-candidates", type=int, default=None,
-                   help="refusal cap (default: TROPDIFF_MAX_CANDIDATES or 100000)")
+    p.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP,
+                   help="refusal cap (default: %(default)s)")
     p.add_argument("--derive-bound", type=int, default=0)
     p.set_defaults(func=cmd_enumerate)
 

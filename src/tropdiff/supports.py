@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ArityError
-from .lattice import (
-    Point,
-    add,
-    as_point,
-    canon,
-    leq,
-    minimal_elements,
-)
+from .lattice import Point, _minimal, add, as_point, canon, leq
 from .tropical import VertexSet
 
 
@@ -64,7 +57,7 @@ def _orthant_contained(p: Point, explicit: frozenset[Point], cones: tuple[Point,
 def _normalize(
     arity: int, explicit: Iterable[Point], cones: Iterable[Point]
 ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    gens = minimal_elements(canon(cones, arity))
+    gens = _minimal(canon(cones, arity))
     expl = tuple(
         p for p in canon(explicit, arity) if not any(leq(g, p) for g in gens)
     )
@@ -72,7 +65,8 @@ def _normalize(
         frozen = frozenset(expl)
         promoted = tuple(p for p in expl if _orthant_contained(p, frozen, gens))
         if promoted:
-            gens = minimal_elements(gens + promoted)
+            # both are checked already: sort them without validating again
+            gens = _minimal(tuple(sorted(gens + promoted)))
             expl = tuple(p for p in expl if not any(leq(g, p) for g in gens))
     return expl, gens
 

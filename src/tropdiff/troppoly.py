@@ -118,13 +118,15 @@ def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
         if not supports:
             raise ArityError("cannot infer arity from an empty support tuple")
         arity = supports[0].arity
-    acc = VertexSet.unit(arity)
+    elif arity < 1:
+        raise ArityError(f"arity must be >= 1, got {arity}")
+    acc = VertexSet._trusted(arity, ((0,) * arity,))
     for key, e in mono.exponents:
         if not 1 <= key.var <= len(supports):
             raise ArityError(f"variable x{key.var} out of range")
         factor = supports[key.var - 1].val(key.index)
         if factor.is_empty:
-            return VertexSet.empty(arity)
+            return VertexSet._trusted(arity, ())
         acc = acc.odot(factor.odot_power(e))
     return acc
 
@@ -232,19 +234,20 @@ def enumerate_solutions(
     deterministic: per component, subsets by size then lexicographic point
     list, and tuples in product order (last component fastest).
 
-    A component is a bitmask over the sorted box grid.  `is_solution(p, S)`
-    reads S only through Val_J(S_i) for the derivative keys x_{i,J} that p
-    mentions, and Val_J(S_i) reads only the restriction r = S_i & M_J to the
-    orthant mask M_J of J + Z^m_>=0.  A Newton polygon depends only on the
-    minimal points of its set, so Val_J(S_i) = Vert(min r) - J.  Each
-    restriction gets a vertex id, memoized per r: `VertexSet` computes
-    Vert(min r) once per distinct minimal antichain, and ids are interned
-    by their vertex points.  Each component's ids are computed once, one
-    per J, from its mask.  The signature of p at a candidate is the tuple of ids over p's
-    sorted keys; the position fixes J, so equal signatures mean equal
-    valuations and an equal, exact verdict.  The scan calls `is_solution`
-    once per distinct signature of each polynomial, on `SupportSet`s built
-    only then and for emitted solutions.  Polynomials are tried in order
+    A component is a sorted tuple of indices into the sorted box grid.
+    `is_solution(p, S)` reads S only through Val_J(S_i) for the derivative
+    keys x_{i,J} that p mentions, and Val_J(S_i) = Vert(r) - J for the
+    restriction r of S_i to the orthant J + Z^m_>=0.  Each r gets a vertex
+    id, and ids are interned by vertex points.  A component's ids, one per
+    J, extend those of the component without its last, lexicographically
+    greatest point p.  As N(r union {p}) = N(Vert(r) union {p}), the set
+    Vert(r union {p}) = Vert(Vert(r) union {p}) is computed once per id
+    and point, when p lies in J's orthant; otherwise the id is kept.  The
+    signature of p at a candidate is the tuple of ids over p's sorted
+    keys; the position fixes J, so equal signatures mean equal valuations
+    and an equal, exact verdict.  The scan calls `is_solution` once per
+    distinct signature of each polynomial, on `SupportSet`s built only
+    then and for emitted solutions.  Polynomials are tried in order
     and the first false verdict ends a candidate, as in the plain scan.
     """
     box = as_point(box)
@@ -270,72 +273,40 @@ def enumerate_solutions(
 
     grid = sorted(itertools.product(*(range(b + 1) for b in box)))
     top = len(grid) if max_points is None else min(max_points, len(grid))
-    # below[i]: the grid points strictly below grid[i].  A point q < p
-    # precedes p in lexicographic order, so each mask is built from those
-    # of the lower neighbours p - e_k, already in the list.  Only
-    # restrictions of two or more points read it.
-    below: list[int] = []
-    if top > 1:
-        position = {p: i for i, p in enumerate(grid)}
-        for p in grid:
-            mask = 0
-            for k, c in enumerate(p):
-                if c:
-                    q = position[p[:k] + (c - 1,) + p[k + 1:]]
-                    mask |= below[q] | 1 << q
-            below.append(mask)
-
-    def points(mask: int) -> tuple[Point, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(grid[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
-
-    def antichain(r: int) -> int:
-        a = rest = r
-        while rest:
-            low = rest & -rest
-            if below[low.bit_length() - 1] & r:
-                a ^= low
-            rest ^= low
-        return a
-
-    # Vert(min r) is computed once per distinct antichain, and ids are
-    # interned by vertex points, so equal vertex sets share one id.
-    vertex_ids: dict[tuple[Point, ...], int] = {}
-
-    @functools.cache
-    def antichain_id(pts: tuple[Point, ...]) -> int:
-        return vertex_ids.setdefault(VertexSet(arity, pts).points, len(vertex_ids))
-
-    @functools.cache
-    def restriction_id(r: int) -> int:
-        return antichain_id(points(antichain(r)))
-
-    def vertex_id(r: int) -> int:
-        # A mask is as long as the grid; a set of at most one point is its
-        # own antichain, so only larger restrictions are memoized by mask.
-        return restriction_id(r) if r & (r - 1) else antichain_id(points(r))
-
     key_sets = [
         sorted({key for mono in p.monomials() for key, _ in mono.exponents})
         for p in polys
     ]
     shifts = sorted({key.index for keys in key_sets for key in keys})
-    # M_J: the grid points in J + Z^m_>=0, one per derivative index J.
-    orthants = [sum(1 << i for i, q in enumerate(grid) if leq(j, q)) for j in shifts]
+    # inside[col][i]: grid[i] lies in the orthant J + Z^m_>=0 of column col.
+    inside = [[leq(j, q) for q in grid] for j in shifts]
+    # Vertex sets interned as ids, so equal vertex sets share one id; id 0
+    # is the empty set.
+    vertex_sets: list[tuple[Point, ...]] = [()]
+    ids: dict[tuple[Point, ...], int] = {(): 0}
+
+    @functools.cache
+    def extend(v: int, i: int) -> int:
+        # grid[i] is the component's greatest point, so the points stay canonical
+        pts = VertexSet._trusted(arity, vertex_sets[v] + (grid[i],)).points
+        if pts not in ids:
+            ids[pts] = len(vertex_sets)
+            vertex_sets.append(pts)
+        return ids[pts]
+
     # Components by size, then lexicographic; row c holds the vertex ids
-    # of component c's restrictions, one column per J.
+    # of component c's restrictions, one column per J.  Each row extends
+    # the row of the component without its last point, listed earlier.
     components = [
         combo for k in range(top + 1)
         for combo in itertools.combinations(range(len(grid)), k)
     ]
-    rows = []
-    for combo in components:
-        mask = sum(1 << i for i in combo)
-        rows.append(tuple([vertex_id(mask & m) for m in orthants]))
+    row_of = {(): (0,) * len(shifts)}
+    for combo in components[1:]:
+        i = combo[-1]
+        row_of[combo] = tuple([extend(v, i) if ins[i] else v
+                               for v, ins in zip(row_of[combo[:-1]], inside)])
+    rows = [row_of[combo] for combo in components]
 
     @functools.cache
     def support(c: int) -> SupportSet:

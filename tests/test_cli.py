@@ -251,25 +251,18 @@ class TestEvalDeriveEnumerate:
         data = json.loads(out)
         assert len(data["terms"]) == 1
 
-    def test_enumerate_cap_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("TROPDIFF_MAX_CANDIDATES", "10")
+    def test_enumerate_cap_exit_2(self, capsys):
         code, _, err = run(
             capsys, "enumerate", "-m", "1", "-n", "1",
             "--poly", "2*t1*x1[1] - x1[0]",
-            "--derive-bound", "0", "--box", "(5)",
+            "--derive-bound", "0", "--box", "(5)", "--max-candidates", "10",
         )
         assert code == 2 and "cap" in err
 
-    @pytest.mark.parametrize("option, env, message", [
-        (("--max-candidates", "-5"), None, "max_candidates must be >= 0"),
-        ((), "-5", "max_candidates must be >= 0"),
-        ((), "abc", "TROPDIFF_MAX_CANDIDATES must be an integer, got 'abc'"),
-        ((), " 7 ", "enumeration would visit an estimated 8 candidate tuples, "
-                    "exceeding the cap of 7"),
-    ], ids=["option-negative", "env-negative", "env-not-int", "env-spaces"])
-    def test_enumerate_cap_errors_exit_2(self, capsys, monkeypatch, option, env, message):
-        if env is not None:
-            monkeypatch.setenv("TROPDIFF_MAX_CANDIDATES", env)
+    @pytest.mark.parametrize("option, message", [
+        (("--max-candidates", "-5"), "max_candidates must be >= 0"),
+    ], ids=["option-negative"])
+    def test_enumerate_cap_errors_exit_2(self, capsys, option, message):
         code, out, err = run(capsys, "enumerate", "-m", "1", "--poly", "x[0]",
                              "--box", "2", *option)
         assert code == 2 and out == ""
@@ -375,7 +368,6 @@ class TestUsageErrors:
         # 2^31 candidates: refused before any of the 200000 derivatives
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        env.pop("TROPDIFF_MAX_CANDIDATES", None)
         proc = subprocess.run(
             [sys.executable, "-m", "tropdiff", "enumerate", "-m", "1",
              "--poly", "x[1]-x[0]", "--box", "30", "--derive-bound", "200000"],
@@ -394,7 +386,6 @@ class TestUsageErrors:
         # few or no candidates, but over 100000 derivatives: the sample is refused
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        env.pop("TROPDIFF_MAX_CANDIDATES", None)
         proc = subprocess.run([sys.executable, "-m", "tropdiff", *argv],
                               capture_output=True, text=True, env=env, timeout=10)
         assert proc.returncode == 2 and proc.stdout == ""

@@ -3,10 +3,12 @@
 Arguments are drawn from DSL tokens, empty strings and small integers.  Digits
 are kept single and apart, so exponents and derivative indices stay at 3 or
 less: large powers and indices have no cap yet and would only make the run
-slow.  `--derive-bound` also draws 10^5 and 10^6: a case that reaches the
-derivative sample is refused by its cap before any derivation and ends in
-exit code 2.  Few drawn cases get that far; `test_cli.py` runs the cap on
-valid commands.
+slow.  `--derive-bound` also draws 10^5 and 10^6.  Few cases drawn from
+tokens get past parsing, so some cases are well-formed arity-1 `check` and
+`enumerate` requests with a drawn bound, box and cap: a bound of 10^5 or more
+is refused by the derivative-sample cap, and the box 30 (2^31 candidate sets)
+or a drawn `--max-candidates` by the candidate cap, each before any
+derivation.  At least one case must end in each refusal.
 """
 
 import contextlib
@@ -54,6 +56,17 @@ COMMANDS = {
 # `examples` replays four fixed fixtures; drawing it less keeps the run short
 WEIGHTS = {"examples": 1}
 
+# well-formed arity-1 requests, completed by a drawn bound and, for
+# `enumerate`, a drawn box and optional caps
+WELL_FORMED = {
+    "check": ["check", "-m", "1", "--poly", "x[1] - x[0]", "--supports", "{(0)}"],
+    "enumerate": ["enumerate", "-m", "1", "--poly", "x[1] - x[0]"],
+}
+BOXES = ("1", "2", "30")
+WELL_FORMED_SHARE = 0.1
+SAMPLE_CAP = "error: the derivative sample would hold"
+CANDIDATE_CAP = "error: enumeration would visit"
+
 
 def dsl(rng: random.Random) -> str:
     out: list[str] = []
@@ -80,7 +93,20 @@ def value(rng: random.Random, kind: str, files: tuple[str, ...]) -> str:
     return rng.choice(fixtures) if roll < 0.75 else dsl(rng)
 
 
+def well_formed_case(rng: random.Random) -> list[str]:
+    command = rng.choice(sorted(WELL_FORMED))
+    argv = WELL_FORMED[command] + ["--derive-bound", rng.choice(BOUNDS)]
+    if command == "enumerate":
+        argv += ["--box", rng.choice(BOXES)]
+        for option in ("--max-points", "--max-candidates"):
+            if rng.random() < 0.3:
+                argv += [option, rng.choice(SMALL_INTS)]
+    return argv
+
+
 def argv_case(rng: random.Random, files: tuple[str, ...]) -> list[str]:
+    if rng.random() < WELL_FORMED_SHARE:
+        return well_formed_case(rng)
     names = sorted(COMMANDS)
     command = rng.choices(names, [WEIGHTS.get(c, 6) for c in names])[0]
     needed, optional = COMMANDS[command]
@@ -95,13 +121,13 @@ def argv_case(rng: random.Random, files: tuple[str, ...]) -> list[str]:
     return argv
 
 
-def test_every_argv_exits_0_1_or_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("TROPDIFF_MAX_CANDIDATES", "64")
+def test_every_argv_exits_0_1_or_2(tmp_path):
     system = tmp_path / "system.txt"
     system.write_text("# two polynomials\nx[1]^2 - 4*x[0]\nx[0]\n", encoding="utf-8")
     files = (str(system), str(tmp_path / "missing.txt"), "")
     rng = random.Random(61)
     codes = set()
+    refused = {SAMPLE_CAP: 0, CANDIDATE_CAP: 0}
     for _ in range(1000):
         argv = argv_case(rng, files)
         out, err = io.StringIO(), io.StringIO()
@@ -114,4 +140,7 @@ def test_every_argv_exits_0_1_or_2(tmp_path, monkeypatch):
         assert "internal error" not in err.getvalue(), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
         codes.add(code)
+        for message in refused:
+            refused[message] += err.getvalue().startswith(message)
     assert codes == {0, 1, 2}
+    assert all(refused.values()), refused

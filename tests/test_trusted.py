@@ -21,10 +21,12 @@ from tropdiff import (
     FieldSpec,
     ParseContext,
     PowerSeries,
+    SupportSet,
     TropPolynomial,
     VertexSet,
     derivative_sample,
     is_solution,
+    is_solution_system,
     parse_diff_poly,
     tropicalize,
 )
@@ -212,10 +214,20 @@ def test_derive_refuses_bad_axis():
             p.derive(k)
 
 
-def test_sample_builds_nothing_through_validation(monkeypatch):
+# The bundled order-two system over Q(sqrt 2), and the supports of its
+# polynomial solution (t1^2 + sqrt2*t1*t2 + t2^2/2, 1 - sqrt2/2*t2 + ...).
+BUNDLED = ("x1[1,0]^2 - 4*x1[0,0]", "x1[1,1]*x2[0,1] - x1[0,0] + 1", "x2[2,0] - x1[1,0]")
+BUNDLED_SUPPORTS = (((2, 0), (1, 1), (0, 2)),
+                    ((0, 0), (0, 1), (3, 0), (2, 1), (1, 2), (0, 3)))
+
+
+def bundled_polys():
     ctx = ParseContext(arity=2, nvars=2, field=Q2)
-    polys = [parse_diff_poly(text, ctx) for text in (
-        "x1[1,0]^2 - 4*x1[0,0]", "x1[1,1]*x2[0,1] - x1[0,0] + 1", "x2[2,0] - x1[1,0]")]
+    return [parse_diff_poly(text, ctx) for text in BUNDLED]
+
+
+def test_sample_builds_nothing_through_validation(monkeypatch):
+    polys = bundled_polys()
     calls = []
     for cls in (PowerSeries, DiffMonomial, DiffPolynomial):
         original = cls.__post_init__
@@ -229,3 +241,20 @@ def test_sample_builds_nothing_through_validation(monkeypatch):
     assert len(sample) == 27 and calls == []
     DiffMonomial()  # the counter does count a validated construction
     assert calls == ["DiffMonomial"]
+
+
+def test_check_evaluates_nothing_through_validation(monkeypatch):
+    sample = [tropicalize(q) for q in derivative_sample(bundled_polys(), 2)]
+    supports = tuple(SupportSet(2, pts) for pts in BUNDLED_SUPPORTS)
+    calls = []
+    original = VertexSet.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(VertexSet, "__post_init__", counting)
+    ok, reports = is_solution_system(sample, supports)
+    assert ok and len(reports) == 27 and calls == []
+    VertexSet.unit(2)  # the counter does count a validated construction
+    assert len(calls) == 1
