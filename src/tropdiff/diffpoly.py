@@ -256,11 +256,13 @@ class DiffPolynomial:
         return DiffPolynomial._trusted(self.arity, self.nvars, field, tuple(terms))
 
     def theta(self, shift: Iterable[int]) -> "DiffPolynomial":
-        """Iterated derivations per the multi-index `shift`."""
+        """Iterated derivations per the multi-index `shift`; they stop at zero."""
         j = as_point(shift, self.arity)
         out = self
         for k in range(self.arity):
             for _ in range(j[k]):
+                if out.is_zero:
+                    return out
                 out = out.derive(k + 1)
         return out
 

@@ -18,6 +18,18 @@ from .errors import FieldError
 RationalLike = int | Fraction
 
 
+def power(x, n: int, one, mul):
+    """x^n for an int n >= 0 in O(log n) `mul`s: square-and-multiply (TAOCP 4.6.3)."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = x if acc is None else mul(acc, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return one if acc is None else acc
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     d: int | None = None
@@ -167,10 +179,7 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.field.one / self ** (-n)
-        acc = self.field.one
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return power(self, n, self.field.one, FieldElement.__mul__)
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ArityError, FieldError, PrecisionError
-from .field import RATIONALS, FieldElement, FieldSpec
+from .field import RATIONALS, FieldElement, FieldSpec, power
 from .lattice import Point, as_point
 from .supports import SupportSet
 from .tropical import VertexSet
@@ -176,10 +176,7 @@ class PowerSeries:
     def __pow__(self, n: int) -> "PowerSeries":
         if n < 0:
             raise ValueError("series powers require n >= 0")
-        acc = PowerSeries.one(self.arity, self.field)
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return power(self, n, PowerSeries.one(self.arity, self.field), PowerSeries.__mul__)
 
     def truncate(self, n: int) -> "PowerSeries":
         """Forget coefficients of total degree >= n."""
@@ -204,11 +201,13 @@ class PowerSeries:
         return PowerSeries._trusted(self.arity, self.field, tuple(terms), prec)
 
     def theta(self, shift: Iterable[int]) -> "PowerSeries":
-        """Iterated derivative: axis k applied shift[k] times."""
+        """Iterated derivative: axis k applied shift[k] times; they stop at an exact zero."""
         j = as_point(shift, self.arity)
         out = self
         for k in range(self.arity):
             for _ in range(j[k]):
+                if out.is_zero and out.is_exact:
+                    return out
                 out = out.derive(k + 1)
         return out
 

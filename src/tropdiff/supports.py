@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import ArityError
+from .field import power
 from .lattice import Point, _minimal, add, as_point, canon, leq
 from .tropical import VertexSet
 
@@ -135,12 +136,7 @@ class SupportSet:
         """n-fold Minkowski power; the empty product is the origin singleton."""
         if n < 0:
             raise ValueError("Minkowski powers require n >= 0")
-        acc = SupportSet.origin(self.arity)
-        for _ in range(n):
-            acc = acc.minkowski(self)
-            if acc.is_empty:
-                break
-        return acc
+        return power(self, n, SupportSet.origin(self.arity), SupportSet.minkowski)
 
     def _shifted(self, j: Point) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
         expl = tuple(

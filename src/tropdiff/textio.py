@@ -37,7 +37,7 @@ from typing import Iterable
 
 from .diffpoly import DiffMonomial, DiffPolynomial
 from .errors import ArityError, FieldError, ParseError
-from .field import RATIONALS, FieldElement, FieldSpec
+from .field import RATIONALS, FieldElement, FieldSpec, power
 from .lattice import Point
 from .series import PowerSeries
 from .supports import SupportSet
@@ -237,11 +237,8 @@ class _Parser:
     def parse_factor(self, allow_x: bool) -> DiffPolynomial:
         poly = self.parse_atom(allow_x)
         if self.match_sym("^"):
-            n = self.expect_int()
-            out = self._const_poly(self.ctx.field.one)
-            for _ in range(n):
-                out = out * poly
-            return out
+            return power(poly, self.expect_int(), self._const_poly(self.ctx.field.one),
+                         DiffPolynomial.__mul__)
         return poly
 
     def _term(self, coef: PowerSeries, mono: DiffMonomial = DiffMonomial.one()) -> DiffPolynomial:

@@ -221,18 +221,17 @@ def enumerate_solutions(
     box: Iterable[int],
     max_points: int | None = None,
     *,
-    nvars: int | None = None,
+    nvars: int,
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[tuple[SupportSet, ...]]:
     """All explicit-support tuples inside [0, box]^m solving every polynomial.
 
     Candidates are finite point sets with at most `max_points` points per
     component (no cone generators).  The scan is refused up front when the
-    candidate count exceeds `max_candidates`, before `polys` is read past
-    its first member (when `nvars` is not given), so a lazily passed
-    derivative sample is never built for a refused box.  Output order is
-    deterministic: per component, subsets by size then lexicographic point
-    list, and tuples in product order (last component fastest).
+    candidate count exceeds `max_candidates`, before `polys` is read, so a
+    lazily passed derivative sample is never built for a refused box.  The
+    output order is fixed: per component, subsets by size, then by their
+    lexicographic point list; tuples in product order (last component fastest).
 
     A component is a sorted tuple of indices into the sorted box grid.
     `is_solution(p, S)` reads S only through Val_J(S_i) for the derivative
@@ -256,13 +255,6 @@ def enumerate_solutions(
     if max_candidates < 0:
         raise ValueError("max_candidates must be >= 0")
     arity = len(box)
-    polys = iter(polys)
-    if nvars is None:
-        first = next(polys, None)
-        if first is None:
-            raise ArityError("nvars is required when the system is empty")
-        nvars = first.nvars
-        polys = itertools.chain((first,), polys)
     estimate = count_candidates(box, max_points, nvars)
     if estimate > max_candidates:
         raise CandidateCapError(estimate, max_candidates)
@@ -296,17 +288,21 @@ def enumerate_solutions(
 
     # Components by size, then lexicographic; row c holds the vertex ids
     # of component c's restrictions, one column per J.  Each row extends
-    # the row of the component without its last point, listed earlier.
+    # the row of the component without its last point, listed earlier;
+    # only a component of fewer than `top` points is a prefix, kept in row_of.
     components = [
         combo for k in range(top + 1)
         for combo in itertools.combinations(range(len(grid)), k)
     ]
     row_of = {(): (0,) * len(shifts)}
+    rows = [row_of[()]]
     for combo in components[1:]:
         i = combo[-1]
-        row_of[combo] = tuple([extend(v, i) if ins[i] else v
-                               for v, ins in zip(row_of[combo[:-1]], inside)])
-    rows = [row_of[combo] for combo in components]
+        row = tuple([extend(v, i) if ins[i] else v
+                     for v, ins in zip(row_of[combo[:-1]], inside)])
+        rows.append(row)
+        if len(combo) < top:
+            row_of[combo] = row
 
     @functools.cache
     def support(c: int) -> SupportSet:

@@ -26,6 +26,11 @@ vertices once at the end instead of multiplying vertex sets.
 every term through the public, validating constructors and lets
 `DiffPolynomial` sum them, where the library sums in plain dicts and
 builds each value once without re-validating it.
+
+`power_repeated` is the retired power loop of the parser's `^`,
+`PowerSeries.__pow__`, `FieldElement.__pow__` and `SupportSet.n_fold`: it
+multiplies `one` by `x` n times, where the library squares and multiplies
+in O(log n) products.
 """
 
 from __future__ import annotations
@@ -260,3 +265,11 @@ def derive_validated(poly: DiffPolynomial, k: int) -> DiffPolynomial:
             scaled = tuple((p, c * e) for p, c in coef.terms)
             out.append((shifted, PowerSeries(arity, field, scaled, coef.precision)))
     return DiffPolynomial(arity, poly.nvars, field, tuple(out))
+
+
+def power_repeated(x, n: int, one, mul):
+    """x^n as n products one * x * ... * x, left to right."""
+    acc = one
+    for _ in range(n):
+        acc = mul(acc, x)
+    return acc

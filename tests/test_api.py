@@ -101,6 +101,30 @@ def test_int_only_reads_text():
     assert calls == []
 
 
+# Loops that run once per unit of an integer's value, so their cost follows
+# that value instead of the input's size; a new one is listed on purpose.
+VALUE_LOOPS = ["diffpoly.py:DiffPolynomial.theta", "series.py:PowerSeries.theta"]
+
+
+def _range_loops(node, owner=()):
+    """The enclosing def names of each `for _ in range(...)` loop under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.For) and isinstance(child.target, ast.Name)
+                and child.target.id == "_" and isinstance(child.iter, ast.Call)
+                and isinstance(child.iter.func, ast.Name) and child.iter.func.id == "range"):
+            yield ".".join(owner)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        yield from _range_loops(child, owner + (child.name,) if named else owner)
+
+
+def test_value_driven_loops_are_listed():
+    loops = []
+    for path in sorted(pathlib.Path(tropdiff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loops += [f"{path.name}:{name}" for name in _range_loops(tree)]
+    assert loops == VALUE_LOOPS
+
+
 # Outside input enters through textio.py and cli.py, so it must go through
 # the validating constructors there; the `_trusted` ones skip every check.
 INPUT_READERS = ("textio.py", "cli.py")

@@ -392,6 +392,20 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: the derivative sample would hold")
         assert proc.stderr.strip().endswith("exceeding the cap of 10000")
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["trop", "-m", "1", "--poly", "x[0]^100000000"], "{(0)}*x1[0]^100000000\n"),
+        (["trop", "-m", "1", "--poly", "t1^100000000"], "{(100000000)}\n"),
+        (["derive", "-m", "1", "--index", "100000000", "--series", "t1"], "0\n"),
+        (["derive", "-m", "1", "--index", "100000000", "--poly", "t1"], "0\n"),
+    ])
+    def test_large_exponents_and_indices(self, argv, stdout):
+        # a power takes O(log n) products, and derivations stop at an exact zero
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-m", "tropdiff", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
     def test_deep_nesting_exit_2_without_traceback(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -65,6 +65,14 @@ class TestTheta:
         p = parse_diff_poly("2*t1*x1[1] - x1[0]", CTX73)
         assert p.theta((1,)) == parse_diff_poly("2*t1*x1[2] + x1[1]", CTX73)
 
+    def test_derivations_stop_at_zero(self, monkeypatch):
+        calls = []
+        derive = DiffPolynomial.derive
+        monkeypatch.setattr(DiffPolynomial, "derive", lambda p, k: calls.append(k) or derive(p, k))
+        p = parse_diff_poly("t1^2 - 2*t1", CTX73)
+        assert p.theta((50,)) == parse_diff_poly("0", CTX73)
+        assert calls == [1, 1, 1]
+
     def test_derivations_commute(self):
         rng = random.Random(22)
         for _ in range(40):

@@ -137,6 +137,25 @@ class TestTheta:
         )
         assert phi2.theta((2, 0)) == phi1.derive(1)
 
+    def test_only_an_exact_zero_ends_the_derivations(self, monkeypatch):
+        # an exact zero is its own derivative; a truncated one loses a degree each time
+        assert PowerSeries(2, Q2, precision=5).theta((2, 1)) == PowerSeries(2, Q2, precision=2)
+        assert PowerSeries(1, precision=3).theta((7,)) == PowerSeries(1, precision=0)
+        rng = random.Random(8)
+        for _ in range(30):
+            s = rand_series(rng, 2, Q2, precision=rng.choice([None, 1, 3, 5]))
+            j = (rng.randint(0, 5), rng.randint(0, 5))
+            want = s
+            for k, n in enumerate(j):
+                for _ in range(n):
+                    want = want.derive(k + 1)
+            assert s.theta(j) == want
+        calls = []
+        derive = PowerSeries.derive
+        monkeypatch.setattr(PowerSeries, "derive", lambda s, k: calls.append(k) or derive(s, k))
+        assert parse_series("t1*t2", CTX2).theta((50, 1)) == PowerSeries.zero(2, Q2)
+        assert calls == [1, 1]
+
 
 class TestSupportAndTrop:
     def test_support_quadratic(self):

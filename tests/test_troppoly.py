@@ -4,7 +4,6 @@ import random
 import pytest
 
 from tropdiff import (
-    ArityError,
     CandidateCapError,
     DiffMonomial,
     DiffPolynomial,
@@ -300,12 +299,6 @@ class TestEnumerate:
 
         with pytest.raises(CandidateCapError):
             enumerate_solutions(sample(), (30,), nvars=1)
-
-    def test_nvars_from_first_polynomial(self):
-        p = tropicalize(poly_73())
-        assert enumerate_solutions(iter([p]), (2,)) == enumerate_solutions([p], (2,), nvars=1)
-        with pytest.raises(ArityError, match="nvars is required"):
-            enumerate_solutions(iter([]), (2,))
 
     def test_builds_few_support_sets(self, monkeypatch):
         # [0,3]x[0,2] has 4096 components; a SupportSet is built only for a
