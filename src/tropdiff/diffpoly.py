@@ -21,32 +21,40 @@ from .lattice import Point, as_point
 from .series import PowerSeries
 
 
-@dataclass(frozen=True, order=True)
-class DerivativeKey:
-    """The derivative variable x_{var, index} (var is 1-based)."""
+class DerivativeKey(tuple):
+    """The derivative variable x_{var, index} (var is 1-based).
 
-    var: int
-    index: Point
+    An immutable (var, index) pair, so keys hash, compare and sort as
+    tuples do.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, var: int, index: Iterable[int]) -> "DerivativeKey":
         try:
-            object.__setattr__(self, "var", operator.index(self.var))
+            var = operator.index(var)
         except TypeError:
-            raise ArityError(f"non-integer variable number {self.var!r}") from None
-        object.__setattr__(self, "index", as_point(self.index))
+            raise ArityError(f"non-integer variable number {var!r}") from None
+        return tuple.__new__(cls, (var, as_point(index)))
 
     @classmethod
     def _trusted(cls, var: int, index: Point) -> "DerivativeKey":
         """The key of an int variable and a valid point, without the checks."""
-        key = object.__new__(cls)
-        object.__setattr__(key, "var", var)
-        object.__setattr__(key, "index", index)
-        return key
+        return tuple.__new__(cls, (var, index))
+
+    var = property(operator.itemgetter(0))
+    index = property(operator.itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"DerivativeKey(var={self.var!r}, index={self.index!r})"
+
+    def __getnewargs__(self):  # pickle and copy pass (var, index) to __new__
+        return tuple(self)
 
     def bump(self, k: int) -> "DerivativeKey":
         """Key of the derivative along axis k (1-based)."""
-        idx = self.index[: k - 1] + (self.index[k - 1] + 1,) + self.index[k:]
-        return DerivativeKey._trusted(self.var, idx)
+        var, idx = self
+        return DerivativeKey._trusted(var, idx[: k - 1] + (idx[k - 1] + 1,) + idx[k:])
 
 
 @dataclass(frozen=True)
@@ -195,65 +203,37 @@ class DiffPolynomial:
     def derive(self, k: int) -> "DiffPolynomial":
         """One derivation along axis k: Leibniz over variables plus d(alpha)/dt_k.
 
-        The contributions are summed per monomial in plain dicts, and each
-        monomial, series and the polynomial are built once, as the validated
-        constructors would leave them: a sum's precision is the least of its
-        parts', and terms of total degree at or beyond it, zero sums and
-        coefficients with no known terms are dropped.
+        The contributions to each monomial are gathered as `(terms,
+        precision)` parts and summed by the series normal form,
+        `PowerSeries._normal`; monomials whose sum has no known terms are
+        dropped.  Each monomial, series and the polynomial are built once,
+        without re-validation.
         """
         if not 1 <= k <= self.arity:
             raise ArityError(f"axis {k} out of range for arity {self.arity}")
-        field = self.field
-        # exponents -> [{point: coefficient}, precision]
-        acc: dict[tuple, list] = {}
-
-        def add(exponents, terms, prec) -> None:
-            entry = acc.get(exponents)
-            if entry is None:
-                acc[exponents] = [dict(terms), prec]
-                return
-            sums = entry[0]
-            for p, c in terms:
-                s = sums.get(p)
-                sums[p] = c if s is None else FieldElement._trusted(field, s.a + c.a, s.b + c.b)
-            if prec is not None and (entry[1] is None or prec < entry[1]):
-                entry[1] = prec
-
-        # Exponents are keyed by plain (var, index) pairs, which order, hash
-        # and compare as their keys do, but without a Python-level call.
-        keys: dict[tuple[int, Point], DerivativeKey] = {}
+        parts: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
         for mono, coef in self.terms:
-            plain = []
-            for key, e in mono.exponents:
-                pair = key.var, key.index
-                keys[pair] = key
-                plain.append((pair, e))
             d = coef.derive(k)
-            add(tuple(plain), d.terms, d.precision)
-            for (pair, e), (key, _) in zip(plain, mono.exponents):
+            parts.setdefault(mono.exponents, []).append((d.terms, d.precision))
+            for key, e in mono.exponents:
                 # x_{i,J}^e -> e * x_{i,J}^(e-1) * x_{i,J+e_k}
-                counts = dict(plain)
+                counts = dict(mono.exponents)
                 if e == 1:
-                    del counts[pair]
+                    del counts[key]
                 else:
-                    counts[pair] = e - 1
+                    counts[key] = e - 1
                 bumped = key.bump(k)
-                pair = bumped.var, bumped.index
-                keys.setdefault(pair, bumped)
-                counts[pair] = counts.get(pair, 0) + 1
+                counts[bumped] = counts.get(bumped, 0) + 1
                 scaled = coef.terms if e == 1 else [(p, c._scaled(e)) for p, c in coef.terms]
-                add(tuple(sorted(counts.items())), scaled, coef.precision)
+                parts.setdefault(tuple(sorted(counts.items())), []).append(
+                    (scaled, coef.precision))
 
         terms = []
-        for exponents, (sums, prec) in sorted(acc.items()):
-            kept = tuple(
-                (p, c) for p, c in sorted(sums.items())
-                if c and (prec is None or sum(p) < prec)
-            )
-            if kept:
-                mono = DiffMonomial._trusted(tuple((keys[pair], e) for pair, e in exponents))
-                terms.append((mono, PowerSeries._trusted(self.arity, field, kept, prec)))
-        return DiffPolynomial._trusted(self.arity, self.nvars, field, tuple(terms))
+        for exponents, group in sorted(parts.items()):
+            coef = PowerSeries._normal(self.arity, self.field, group)
+            if coef.terms:
+                terms.append((DiffMonomial._trusted(exponents), coef))
+        return DiffPolynomial._trusted(self.arity, self.nvars, self.field, tuple(terms))
 
     def theta(self, shift: Iterable[int]) -> "DiffPolynomial":
         """Iterated derivations per the multi-index `shift`; they stop at zero."""

@@ -36,8 +36,11 @@ class CandidateCapError(TropdiffError, RuntimeError):
     def __init__(self, estimate: int, cap: int):
         self.estimate = estimate
         self.cap = cap
+        # a long estimate is shown by its magnitude: str() of an int over
+        # 4300 digits raises, and its digits would say nothing more
+        shown = estimate if estimate < 10**30 else f"2^{estimate.bit_length() - 1} or more"
         super().__init__(
-            f"enumeration would visit an estimated {estimate} candidate tuples, "
+            f"enumeration would visit an estimated {shown} candidate tuples, "
             f"exceeding the cap of {cap}"
         )
 

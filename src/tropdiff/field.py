@@ -124,12 +124,12 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.a + o.a, self.b + o.b)
+        return FieldElement._trusted(self.field, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.a, -self.b)
+        return FieldElement._trusted(self.field, -self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -146,8 +146,8 @@ class FieldElement:
             return NotImplemented
         d = self.field.d
         if d is None:
-            return FieldElement(self.field, self.a * o.a)
-        return FieldElement(
+            return FieldElement._trusted(self.field, self.a * o.a, self.b)  # b = 0 over Q
+        return FieldElement._trusted(
             self.field,
             self.a * o.a + d * self.b * o.b,
             self.a * o.b + self.b * o.a,

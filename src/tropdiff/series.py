@@ -13,6 +13,7 @@ truncated series cannot certify the absence of higher-degree terms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,18 +48,9 @@ class PowerSeries:
             raise ArityError(f"arity must be >= 1, got {self.arity}")
         if self.precision is not None and self.precision < 0:
             raise PrecisionError(f"negative precision {self.precision}")
-        acc: dict[Point, FieldElement] = {}
-        for exp, c in self.terms:
-            p = as_point(exp, self.arity)
-            c = self.field.coerce(c)
-            acc[p] = acc[p] + c if p in acc else c
-        cleaned = tuple(
-            (p, c)
-            for p, c in sorted(acc.items())
-            if not c.is_zero
-            and (self.precision is None or _total(p) < self.precision)
-        )
-        object.__setattr__(self, "terms", cleaned)
+        checked = tuple((as_point(exp, self.arity), self.field.coerce(c)) for exp, c in self.terms)
+        normal = PowerSeries._normal(self.arity, self.field, ((checked, self.precision),))
+        object.__setattr__(self, "terms", normal.terms)
 
     @classmethod
     def _trusted(cls, arity: int, field: FieldSpec, terms: tuple[tuple[Point, FieldElement], ...],
@@ -74,6 +66,28 @@ class PowerSeries:
         object.__setattr__(s, "terms", terms)
         object.__setattr__(s, "precision", precision)
         return s
+
+    @classmethod
+    def _normal(cls, arity: int, field: FieldSpec,
+                parts: Iterable[tuple[Iterable[tuple[Point, FieldElement]], int | None]]
+                ) -> "PowerSeries":
+        """The sum of `(terms, precision)` parts in normal form.
+
+        Like terms are summed and the least precision is kept; zero sums and
+        terms of total degree at or beyond it are dropped, the rest sorted.
+        The points must be valid and of `arity`, the coefficients elements
+        of `field`.
+        """
+        acc: dict[Point, FieldElement] = {}
+        prec = None
+        for terms, p in parts:
+            prec = _min_prec(prec, p)
+            for q, c in terms:
+                s = acc.get(q)
+                acc[q] = c if s is None else s + c
+        kept = tuple((q, c) for q, c in sorted(acc.items())
+                     if c and (prec is None or _total(q) < prec))
+        return cls._trusted(arity, field, kept, prec)
 
     # ---------------------------------------------------------------- factories
 
@@ -140,11 +154,11 @@ class PowerSeries:
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)
-        prec = _min_prec(self.precision, other.precision)
-        return PowerSeries(self.arity, self.field, self.terms + other.terms, prec)
+        return PowerSeries._normal(self.arity, self.field, (
+            (self.terms, self.precision), (other.terms, other.precision)))
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(
+        return PowerSeries._trusted(
             self.arity, self.field,
             tuple((p, -c) for p, c in self.terms), self.precision,
         )
@@ -154,14 +168,9 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)
-        acc: dict[Point, FieldElement] = {}
-        for p, c in self.terms:
-            for q, e in other.terms:
-                r = tuple(a + b for a, b in zip(p, q))
-                v = c * e
-                acc[r] = acc[r] + v if r in acc else v
-        prec = _prod_prec(self, other)
-        return PowerSeries(self.arity, self.field, tuple(acc.items()), prec)
+        products = ((tuple(map(operator.add, p, q)), c * e)
+                    for p, c in self.terms for q, e in other.terms)
+        return PowerSeries._normal(self.arity, self.field, ((products, _prod_prec(self, other)),))
 
     def scalar_mul(self, c) -> "PowerSeries":
         c = self.field.coerce(c)
@@ -179,9 +188,10 @@ class PowerSeries:
         return power(self, n, PowerSeries.one(self.arity, self.field), PowerSeries.__mul__)
 
     def truncate(self, n: int) -> "PowerSeries":
-        """Forget coefficients of total degree >= n."""
-        prec = n if self.precision is None else min(self.precision, n)
-        return PowerSeries(self.arity, self.field, self.terms, prec)
+        """Forget coefficients of total degree >= n: add the zero known below degree n."""
+        if n < 0:
+            raise PrecisionError(f"negative precision {n}")
+        return PowerSeries._normal(self.arity, self.field, ((self.terms, self.precision), ((), n)))
 
     # ---------------------------------------------------------------- calculus
 
@@ -189,27 +199,23 @@ class PowerSeries:
         """Formal partial derivative along axis k (1-based)."""
         if not 1 <= k <= self.arity:
             raise ArityError(f"axis {k} out of range for arity {self.arity}")
-        i = k - 1
-        terms = []
-        for p, c in self.terms:
-            if p[i] == 0:
-                continue
-            q = p[:i] + (p[i] - 1,) + p[i + 1:]
-            terms.append((q, c._scaled(p[i])))
-        prec = None if self.precision is None else max(self.precision - 1, 0)
-        # p -> p - e_k keeps the order and lowers the degree by one
-        return PowerSeries._trusted(self.arity, self.field, tuple(terms), prec)
+        return self.theta((0,) * (k - 1) + (1,) + (0,) * (self.arity - k))
 
     def theta(self, shift: Iterable[int]) -> "PowerSeries":
-        """Iterated derivative: axis k applied shift[k] times; they stop at an exact zero."""
+        """The derivative of order J = shift, in one pass over the terms.
+
+        A term c*t^p with p >= J becomes c * prod_k p_k!/(p_k - J_k)! * t^(p-J);
+        the other terms vanish.  A precision N becomes max(N - |J|, 0).
+        """
         j = as_point(shift, self.arity)
-        out = self
-        for k in range(self.arity):
-            for _ in range(j[k]):
-                if out.is_zero and out.is_exact:
-                    return out
-                out = out.derive(k + 1)
-        return out
+        terms = []
+        for p, c in self.terms:
+            if all(map(operator.ge, p, j)):
+                n = math.prod(map(math.perm, p, j))
+                terms.append((tuple(map(operator.sub, p, j)), c._scaled(n)))
+        prec = None if self.precision is None else max(self.precision - _total(j), 0)
+        # p -> p - J keeps the order and lowers every degree by |J|
+        return PowerSeries._trusted(self.arity, self.field, tuple(terms), prec)
 
     # ---------------------------------------------------------------- tropical side
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -212,7 +211,16 @@ def count_candidates(box: Point, max_points: int | None, nvars: int) -> int:
     for b in box:
         grid *= b + 1
     top = grid if max_points is None else min(max_points, grid)
-    per_component = sum(math.comb(grid, k) for k in range(top + 1))
+    if top == grid:
+        return 2 ** (grid * nvars)
+    # sum C(grid, k) over k <= top, or 2^grid minus the sum over k > top,
+    # whichever side is shorter, with C(g, k+1) = C(g, k)(g - k)/(k + 1)
+    short = min(top, grid - top - 1)
+    binom = partial = 1
+    for k in range(short):
+        binom = binom * (grid - k) // (k + 1)
+        partial += binom
+    per_component = partial if short == top else 2 ** grid - partial
     return per_component ** nvars
 
 

@@ -27,6 +27,13 @@ every term through the public, validating constructors and lets
 `DiffPolynomial` sum them, where the library sums in plain dicts and
 builds each value once without re-validating it.
 
+`pairs_of`, `pairs_add`, `pairs_mul` and `pairs_truncate` redo series
+arithmetic on plain `{point: (a, b)}` dicts of `Fraction` pairs, with the
+normal form and the precision rules written out again, so they share no
+code with `PowerSeries` or `FieldElement` arithmetic; `derive_validated`
+cannot serve there, as the public constructor now sums through the same
+normalizer as `+`, `*` and `truncate`.
+
 `power_repeated` is the retired power loop of the parser's `^`,
 `PowerSeries.__pow__`, `FieldElement.__pow__` and `SupportSet.n_fold`: it
 multiplies `one` by `x` n times, where the library squares and multiplies
@@ -273,3 +280,49 @@ def power_repeated(x, n: int, one, mul):
     for _ in range(n):
         acc = mul(acc, x)
     return acc
+
+
+def pairs_of(series: PowerSeries) -> tuple:
+    """A series as (sorted ((point, (a, b)), ...), precision), read off its terms."""
+    return tuple((p, (c.a, c.b)) for p, c in series.terms), series.precision
+
+
+def _pairs_normal(acc: dict, precision) -> tuple:
+    """Summed pairs without zeros or terms at or beyond `precision`, sorted."""
+    return tuple(sorted(
+        (p, ab) for p, ab in acc.items()
+        if ab != (0, 0) and (precision is None or sum(p) < precision)
+    )), precision
+
+
+def _least(*precisions):
+    known = [n for n in precisions if n is not None]
+    return min(known) if known else None
+
+
+def pairs_add(x: tuple, y: tuple) -> tuple:
+    acc: dict = {}
+    for p, (a, b) in x[0] + y[0]:
+        a0, b0 = acc.get(p, (0, 0))
+        acc[p] = (a0 + a, b0 + b)
+    return _pairs_normal(acc, _least(x[1], y[1]))
+
+
+def pairs_mul(x: tuple, y: tuple, d: int | None) -> tuple:
+    """Product in Q(sqrt d) (d None: Q); the error terms bound its precision."""
+    acc: dict = {}
+    for p, (a, b) in x[0]:
+        for q, (e, f) in y[0]:
+            r = tuple(i + j for i, j in zip(p, q))
+            a0, b0 = acc.get(r, (0, 0))
+            acc[r] = (a0 + a * e + (d or 0) * b * f, b0 + a * f + b * e)
+    ox = min((sum(p) for p, _ in x[0]), default=None)
+    oy = min((sum(q) for q, _ in y[0]), default=None)
+    bounds = [x[1] + oy if x[1] is not None and oy is not None else None,
+              y[1] + ox if y[1] is not None and ox is not None else None,
+              x[1] + y[1] if x[1] is not None and y[1] is not None else None]
+    return _pairs_normal(acc, _least(*bounds))
+
+
+def pairs_truncate(x: tuple, n: int) -> tuple:
+    return _pairs_normal(dict(x[0]), _least(x[1], n))

@@ -406,6 +406,21 @@ class TestUsageErrors:
                               capture_output=True, text=True, env=env, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
+    @pytest.mark.parametrize("argv, estimate", [
+        (["-m", "1", "--poly", "x[0]", "--box", "30000"], "2^30001 or more"),
+        (["-m", "2", "--poly", "x[0,0]", "--box", "120,120"], "2^14641 or more"),
+    ])
+    def test_large_boxes_refused_by_the_cap(self, argv, estimate):
+        # the estimate takes O(1) or O(max_points) big-int steps, and prints
+        # by magnitude, never as a string of thousands of digits
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-m", "tropdiff", "enumerate", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: enumeration would visit an estimated {estimate} "
+                               "candidate tuples, exceeding the cap of 100000\n")
+
     def test_deep_nesting_exit_2_without_traceback(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

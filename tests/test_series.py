@@ -153,8 +153,9 @@ class TestTheta:
         calls = []
         derive = PowerSeries.derive
         monkeypatch.setattr(PowerSeries, "derive", lambda s, k: calls.append(k) or derive(s, k))
-        assert parse_series("t1*t2", CTX2).theta((50, 1)) == PowerSeries.zero(2, Q2)
-        assert calls == [1, 1]
+        # one pass over the terms: no derivation, whatever the order
+        assert parse_series("t1*t2", CTX2).theta((10**8, 1)) == PowerSeries.zero(2, Q2)
+        assert calls == []
 
 
 class TestSupportAndTrop:

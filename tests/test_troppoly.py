@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from tropdiff import (
     tropicalize,
     tropicalize_sample,
 )
+from tropdiff.troppoly import count_candidates
 
 from gen import (
     rand_diff_monomial,
@@ -278,6 +280,27 @@ class TestEnumerate:
         with pytest.raises(CandidateCapError) as exc:
             enumerate_solutions([], (3, 3), None, nvars=1, max_candidates=100)
         assert exc.value.estimate == 2 ** 16
+
+    def test_count_candidates_sums_the_shorter_side(self):
+        for box in ((0,), (1,), (4,), (9,), (2, 2), (3, 1), (1, 1, 1)):
+            grid = math.prod(b + 1 for b in box)
+            for max_points in (None, *range(grid + 2)):
+                top = grid if max_points is None else min(max_points, grid)
+                per_component = sum(math.comb(grid, k) for k in range(top + 1))
+                for nvars in (1, 2, 3):
+                    assert count_candidates(box, max_points, nvars) == per_component ** nvars
+        assert count_candidates((10**6,), 2, 1) == 1 + (10**6 + 1) + math.comb(10**6 + 1, 2)
+        assert count_candidates((10**6,), 10**6, 1) == 2 ** (10**6 + 1) - 1
+
+    def test_cap_message_shows_long_estimates_by_magnitude(self):
+        short = CandidateCapError(10**30 - 1, 5)
+        assert str(short) == ("enumeration would visit an estimated " + "9" * 30
+                              + " candidate tuples, exceeding the cap of 5")
+        for estimate, k in ((10**30, 99), (2 ** 20000 + 1, 20000), (10**5000, 16609)):
+            err = CandidateCapError(estimate, 7)
+            assert err.estimate == estimate
+            assert str(err) == (f"enumeration would visit an estimated 2^{k} or more "
+                                "candidate tuples, exceeding the cap of 7")
 
     def test_max_points_limits_size(self):
         sols = enumerate_solutions([], (1,), 1, nvars=1)

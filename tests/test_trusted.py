@@ -3,11 +3,16 @@
 Each private `_trusted` constructor must give the value the public
 constructor gives on the same input, and each value a trusted path builds
 must come back unchanged through the public constructor.  `derive`, which
-sums in plain dicts and builds its result on trusted paths only, is checked
-against `oracles.derive_validated`, which goes through the public ones.
+sums through the series normalizer and builds its result on trusted paths
+only, is checked against `oracles.derive_validated`, which goes through the
+public ones.  Field and series arithmetic, which build their results on
+trusted paths too, are checked against the `Fraction`-pair references in
+`oracles`, which share no code with them.
 """
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -44,7 +49,7 @@ from gen import (
     rand_trop_poly,
     rand_vertex_set,
 )
-from oracles import derive_validated
+from oracles import derive_validated, pairs_add, pairs_mul, pairs_of, pairs_truncate
 
 Q = FieldSpec()
 Q2 = FieldSpec(2)
@@ -70,6 +75,19 @@ def test_field_element():
             assert c == field(a, b) and hash(c) == hash(field(a, b))
             for n in range(5):
                 assert c._scaled(n) == c * n
+            e = rand_field_element(rng, field)
+            d = field.d or 0
+            built = [
+                (c + e, (a + e.a, b + e.b)),
+                (c - e, (a - e.a, b - e.b)),
+                (c - c, (0, 0)),
+                (-c, (-a, -b)),
+                (c * e, (a * e.a + d * b * e.b, a * e.b + b * e.a)),
+            ]
+            for got, (want_a, want_b) in built:
+                assert (got.a, got.b) == (want_a, want_b)
+                assert type(got.a) is type(got.b) is Fraction
+                assert got == field(want_a, want_b) and hash(got) == hash(field(want_a, want_b))
 
 
 def test_derivative_key():
@@ -79,9 +97,19 @@ def test_derivative_key():
             var, idx = rng.randint(1, 3), rand_point(rng, m, 4)
             key = DerivativeKey._trusted(var, idx)
             assert key == DerivativeKey(var, idx) and hash(key) == hash(DerivativeKey(var, idx))
+            assert (key.var, key.index) == (var, idx)
             for k in range(1, m + 1):
                 bumped = tuple(j + (i == k - 1) for i, j in enumerate(idx))
                 assert key.bump(k) == DerivativeKey(var, bumped)
+        keys = [DerivativeKey(rng.randint(1, 3), rand_point(rng, m, 4)) for _ in range(40)]
+        assert [(k.var, k.index) for k in sorted(keys)] == sorted((k.var, k.index) for k in keys)
+    key = DerivativeKey(1, (0,))
+    assert repr(key) == str(key) == "DerivativeKey(var=1, index=(0,))"
+    with pytest.raises(ValueError, match=r"^negative exponent on DerivativeKey\(var=1, index=\(0,\)\)$"):
+        DiffMonomial(((key, -1),))
+    with pytest.raises(AttributeError):
+        key.var = 2
+    assert copy.deepcopy(key) == pickle.loads(pickle.dumps(key)) == key
 
 
 def test_diff_monomial():
@@ -108,6 +136,20 @@ def test_power_series():
             scaled = s.scalar_mul(c)
             assert scaled == PowerSeries(m, field, tuple((p, c * v) for p, v in s.terms),
                                          s.precision)
+            t = rand_series(rng, m, field, hi=3, kmax=5, precision=rng.choice((None, 3, 5)))
+            x, y = pairs_of(s), pairs_of(t)
+            negated = tuple((p, (-a, -b)) for p, (a, b) in y[0]), y[1]
+            n = rng.randint(0, 6)
+            built = [
+                (s + t, pairs_add(x, y)),
+                (s - t, pairs_add(x, negated)),
+                (t - t, ((), y[1])),
+                (-t, negated),
+                (s * t, pairs_mul(x, y, field.d)),
+                (s.truncate(n), pairs_truncate(x, n)),
+            ]
+            for got, want in built:
+                assert pairs_of(got) == want
 
 
 def test_vertex_set():
