@@ -20,7 +20,7 @@ they are componentwise identical, so `==` is semantic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ArityError
@@ -79,8 +79,6 @@ class SupportSet:
     arity: int
     explicit: tuple[Point, ...] = ()
     cones: tuple[Point, ...] = ()
-    # Val_J memo, shift -> VertexSet; invisible to ==, hash and repr.
-    _vals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -160,8 +158,7 @@ class SupportSet:
         N(explicit + cones) already contains every cone's orthant, so these
         are the vertices of the finite set of generators and explicit
         points.  That is `val` at the origin, which shifts nothing, so the
-        vertex set comes from the one cached vertex routine of `lattice`
-        and shares the set's `Val_J` memo.
+        vertex set comes from the one cached vertex routine of `lattice`.
         """
         return self.val((0,) * self.arity)
 
@@ -173,13 +170,7 @@ class SupportSet:
         only drops points inside cones and reshapes the generators, so the
         Newton polygon, and with it the vertex set, is unchanged.  The
         shifted points are nonnegative by construction, so they are not
-        validated again.  Each result is memoized on the set under the
-        validated shift, so every caller shares one Val_J per shift; an
-        invalid shift always raises.
+        validated again.
         """
-        key = as_point(shift, self.arity)
-        v = self._vals.get(key)
-        if v is None:
-            expl, gens = self._shifted(key)
-            v = self._vals[key] = VertexSet._trusted_unsorted(self.arity, expl + gens)
-        return v
+        expl, gens = self._shifted(as_point(shift, self.arity))
+        return VertexSet._trusted_unsorted(self.arity, expl + gens)

@@ -74,36 +74,16 @@ class TropPolynomial:
     def monomials(self) -> tuple[TropMonomial, ...]:
         return tuple(m for m, _ in self.terms)
 
-    # ---------------------------------------------------------------- evaluation
 
-    def _check_supports(self, supports: Sequence[SupportSet]) -> None:
-        if len(supports) != self.nvars:
-            raise ArityError(f"expected {self.nvars} support sets, got {len(supports)}")
-        for s in supports:
-            if s.arity != self.arity:
-                raise ArityError("support arity differs from polynomial arity")
-
-    def term_sets(self, supports: Sequence[SupportSet], *,
-                  values: dict | None = None) -> tuple[tuple[TropMonomial, VertexSet], ...]:
-        """Per-term vertex sets a_M (*) eps_M(S), in canonical monomial order.
-
-        `values` may map monomials to eps_M(S) at these same supports; the
-        monomials evaluated here are added to it.
-        """
-        self._check_supports(supports)
-        if values is None:
-            values = {}
-        out = []
-        for mono, coef in self.terms:
-            v = values.get(mono)
-            if v is None:
-                v = values[mono] = eval_monomial(mono, supports, arity=self.arity)
-            out.append((mono, coef.odot(v)))
-        return tuple(out)
-
-    def eval(self, supports: Sequence[SupportSet]) -> VertexSet:
-        """Tropical sum over all terms of a_M (*) eps_M(S), as Vert of their union."""
-        return is_solution(self, supports).evaluation
+def _product(mono: TropMonomial, vals: dict, arity: int) -> VertexSet:
+    """eps_M from `vals`, a mapping of each key of M to its Val_J(S_i)."""
+    acc = VertexSet._trusted(arity, ((0,) * arity,))
+    for key, e in mono.exponents:
+        factor = vals[key]
+        if factor.is_empty:
+            return VertexSet._trusted(arity, ())
+        acc = acc.odot(factor.odot_power(e))
+    return acc
 
 
 def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
@@ -119,15 +99,14 @@ def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
         arity = supports[0].arity
     elif arity < 1:
         raise ArityError(f"arity must be >= 1, got {arity}")
-    acc = VertexSet._trusted(arity, ((0,) * arity,))
-    for key, e in mono.exponents:
+    vals = {}
+    for key, _ in mono.exponents:
         if not 1 <= key.var <= len(supports):
             raise ArityError(f"variable x{key.var} out of range")
-        factor = supports[key.var - 1].val(key.index)
-        if factor.is_empty:
-            return VertexSet._trusted(arity, ())
-        acc = acc.odot(factor.odot_power(e))
-    return acc
+        vals[key] = supports[key.var - 1].val(key.index)
+        if vals[key].is_empty:
+            break
+    return _product(mono, vals, arity)
 
 
 def tropicalize(poly: DiffPolynomial) -> TropPolynomial:
@@ -167,19 +146,34 @@ class SolutionReport:
     solution: bool
 
 
-def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet], *,
-                values: dict | None = None) -> SolutionReport:
-    """Tropical vanishing test for one polynomial at a support tuple.
+def _valuations(polys: Sequence[TropPolynomial], supports: Sequence[SupportSet]) -> dict:
+    """Val_J(S_i) for each key x_{i,J} of `polys`, after checking the supports."""
+    for p in polys:
+        if len(supports) != p.nvars:
+            raise ArityError(f"expected {p.nvars} support sets, got {len(supports)}")
+        if any(s.arity != p.arity for s in supports):
+            raise ArityError("support arity differs from polynomial arity")
+    keys = {key for p in polys for mono in p.monomials() for key, _ in mono.exponents}
+    return {key: supports[key.var - 1].val(key.index) for key in keys}
 
-    `values` is the monomial memo of `TropPolynomial.term_sets`.
+
+def _report(poly: TropPolynomial, vals: dict, memo: dict) -> SolutionReport:
+    """The vanishing test of `poly` at `vals`, a mapping of its keys to Val_J(S_i).
+
+    `memo` maps monomials to eps_M at `vals`; it gains those evaluated here.
     """
-    sets = poly.term_sets(supports, values=values)
+    sets = []
+    for mono, coef in poly.terms:
+        v = memo.get(mono)
+        if v is None:
+            v = memo[mono] = _product(mono, vals, poly.arity)
+        sets.append(coef.odot(v))
     # Vert(union of the Vert T_i) = Vert(union of the T_i): one (+) over all terms
-    evaluation = VertexSet._trusted_unsorted(poly.arity, [v for _, ts in sets for v in ts])
+    evaluation = VertexSet._trusted_unsorted(poly.arity, [v for ts in sets for v in ts])
     witnesses = []
     verdict = True
     for v in evaluation.points:
-        found = tuple(i for i, (_, ts) in enumerate(sets) if v in ts.points)
+        found = tuple(i for i, ts in enumerate(sets) if v in ts.points)
         witnesses.append((v, found))
         if len(found) < 2:
             verdict = False
@@ -190,15 +184,23 @@ def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet], *,
     )
 
 
+def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> SolutionReport:
+    """Tropical vanishing test for one polynomial at a support tuple."""
+    return _report(poly, _valuations((poly,), supports), {})
+
+
 def is_solution_system(
     polys: Iterable[TropPolynomial], supports: Sequence[SupportSet]
 ) -> tuple[bool, tuple[SolutionReport, ...]]:
     """Conjunction of `is_solution` over a family; empty families hold trivially.
 
-    The supports are fixed, so each monomial is evaluated once for the family.
+    The supports are fixed, so each Val_J(S_i) is computed once for the
+    family, and each monomial is evaluated once.
     """
-    values: dict[TropMonomial, VertexSet] = {}
-    reports = tuple(is_solution(p, supports, values=values) for p in polys)
+    polys = tuple(polys)
+    vals = _valuations(polys, supports)
+    memo: dict[TropMonomial, VertexSet] = {}
+    reports = tuple(_report(p, vals, memo) for p in polys)
     return all(r.solution for r in reports), reports
 
 
@@ -252,10 +254,10 @@ def enumerate_solutions(
     and point, when p lies in J's orthant; otherwise the id is kept.  The
     signature of p at a candidate is the tuple of ids over p's sorted
     keys; the position fixes J, so equal signatures mean equal valuations
-    and an equal, exact verdict.  The scan calls `is_solution` once per
-    distinct signature of each polynomial, on `SupportSet`s built only
-    then and for emitted solutions.  Polynomials are tried in order
-    and the first false verdict ends a candidate, as in the plain scan.
+    and an equal, exact verdict.  The vanishing test runs once per distinct
+    signature of each polynomial, on valuations read from the ids; a
+    `SupportSet` is built only for emitted solutions.  Polynomials are tried
+    in order and the first false verdict ends a candidate, as in the plain scan.
     """
     box = as_point(box)
     if max_points is not None and max_points < 0:
@@ -313,23 +315,30 @@ def enumerate_solutions(
             row_of[combo] = row
 
     @functools.cache
+    def val(v: int, j: Point) -> VertexSet:
+        # The points of id v lie in J's orthant, and translating them by -J
+        # keeps their order and their vertex property: Val_J = Vert(r) - J.
+        return VertexSet._trusted(arity, tuple(
+            tuple([a - b for a, b in zip(q, j)]) for q in vertex_sets[v]))
+
+    @functools.cache
     def support(c: int) -> SupportSet:
         return SupportSet(arity, tuple(grid[i] for i in components[c]))
 
     # One verdict memo per polynomial, keyed by its signature.
     column = {j: col for col, j in enumerate(shifts)}
     keyed = [
-        (p, [(k.var - 1, column[k.index]) for k in keys], {})
+        (p, keys, [(k.var - 1, column[k.index]) for k in keys], {})
         for p, keys in zip(polys, key_sets)
     ]
     out = []
     for candidate in itertools.product(range(len(rows)), repeat=nvars):
-        for p, keys, memo in keyed:
-            sig = tuple([rows[candidate[v]][col] for v, col in keys])
+        for p, keys, cells, memo in keyed:
+            sig = tuple([rows[candidate[v]][col] for v, col in cells])
             verdict = memo.get(sig)
             if verdict is None:
-                verdict = memo[sig] = is_solution(
-                    p, tuple([support(c) for c in candidate])).solution
+                vals = {k: val(v, k.index) for k, v in zip(keys, sig)}
+                verdict = memo[sig] = _report(p, vals, {}).solution
             if not verdict:
                 break
         else:

@@ -122,23 +122,47 @@ def test_field_parts_read_only_by_their_owners():
 VALUE_LOOPS = ["diffpoly.py:DiffPolynomial.theta"]
 
 
-def _range_loops(node, owner=()):
-    """The enclosing def names of each `for _ in range(...)` loop under `node`."""
+def _is_value_loop(node):
+    """Whether `node` is a `for _ in range(...)` loop."""
+    return (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+            and node.target.id == "_" and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range")
+
+
+def _owners(node, match, owner=()):
+    """The enclosing def names of each node under `node` that `match` accepts."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.For) and isinstance(child.target, ast.Name)
-                and child.target.id == "_" and isinstance(child.iter, ast.Call)
-                and isinstance(child.iter.func, ast.Name) and child.iter.func.id == "range"):
+        if match(child):
             yield ".".join(owner)
         named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
-        yield from _range_loops(child, owner + (child.name,) if named else owner)
+        yield from _owners(child, match, owner + (child.name,) if named else owner)
+
+
+def _package_owners(match):
+    """`file:owner` for each node of the package's modules that `match` accepts."""
+    found = []
+    for path in sorted(pathlib.Path(tropdiff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{name}" for name in _owners(tree, match)]
+    return found
 
 
 def test_value_driven_loops_are_listed():
-    loops = []
-    for path in sorted(pathlib.Path(tropdiff.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        loops += [f"{path.name}:{name}" for name in _range_loops(tree)]
-    assert loops == VALUE_LOOPS
+    assert _package_owners(_is_value_loop) == VALUE_LOOPS
+
+
+# Val_J(S_i) has one route into the vanishing test, the helper that fills
+# its valuations; `eval_monomial` and `vertices` are the public readers.
+VAL_CALLERS = ["supports.py:SupportSet.vertices", "troppoly.py:eval_monomial",
+               "troppoly.py:_valuations"]
+
+
+def test_val_is_called_only_by_the_valuation_routes():
+    def is_val_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "val")
+
+    assert _package_owners(is_val_call) == VAL_CALLERS
 
 
 # Outside input enters through textio.py and cli.py, so it must go through
