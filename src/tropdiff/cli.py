@@ -11,16 +11,17 @@ import json
 import sys
 
 from .diffpoly import derivative_sample
-from .errors import ParseError, TropdiffError
+from .errors import TropdiffError
 from .field import FieldSpec
-from .lattice import Point
 from .textio import (
     ParseContext,
     diff_poly_to_json,
     parse_diff_poly,
     parse_point,
     parse_series,
+    parse_series_tuple,
     parse_support,
+    parse_supports,
     parse_system,
     print_diff_poly,
     print_point,
@@ -47,17 +48,6 @@ def _context(args) -> ParseContext:
     sqrt = getattr(args, "sqrt", None)
     field = FieldSpec() if sqrt is None else FieldSpec(sqrt)
     return ParseContext(arity=args.arity, nvars=args.nvars, field=field)
-
-
-def _parse_multi_index(text: str, ctx: ParseContext) -> Point:
-    """A DSL point, whose parentheses may be left out: `(1,0)` or `1,0`."""
-    if text.lstrip().startswith("("):
-        return parse_point(text, ctx)
-    try:
-        return parse_point(f"({text})", ctx)
-    except ParseError as exc:
-        # report the position in the text as given, without the added "("
-        raise ParseError(exc.message, text, max(exc.pos - 1, 0)) from None
 
 
 def _load_system(args, ctx: ParseContext):
@@ -108,15 +98,14 @@ def cmd_trop(args) -> int:
 def cmd_eval(args) -> int:
     ctx = _context(args)
     poly = parse_diff_poly(args.poly, ctx)
-    phis = [parse_series(s, ctx) for s in args.at.split(";")]
-    result = poly.evaluate(phis)
+    result = poly.evaluate(parse_series_tuple(args.at, ctx))
     _emit(args, print_series(result), series_to_json(result))
     return 0
 
 
 def cmd_derive(args) -> int:
     ctx = _context(args)
-    idx = _parse_multi_index(args.index, ctx)
+    idx = parse_point(args.index, ctx)
     if args.poly is not None:
         out = parse_diff_poly(args.poly, ctx).theta(idx)
         _emit(args, print_diff_poly(out), diff_poly_to_json(out))
@@ -129,11 +118,7 @@ def cmd_derive(args) -> int:
 def cmd_check(args) -> int:
     ctx = _context(args)
     polys = _load_system(args, ctx)
-    supports = [parse_support(s, ctx) for s in args.supports.split(";")]
-    if len(supports) != ctx.nvars:
-        raise TropdiffError(
-            f"expected {ctx.nvars} support sets, got {len(supports)}"
-        )
+    supports = parse_supports(args.supports, ctx)
     sample = tropicalize_sample(polys, args.derive_bound)
     ok, reports = is_solution_system(sample, supports)
     printed = [print_trop_poly(p) for p in sample]
@@ -159,7 +144,7 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     ctx = _context(args)
     polys = _load_system(args, ctx)
-    box = _parse_multi_index(args.box, ctx)
+    box = parse_point(args.box, ctx)
     # Passed lazily: the candidate cap is checked before any derivative.
     sample = (tropicalize(q) for q in derivative_sample(polys, args.derive_bound))
     solutions = enumerate_solutions(sample, box, args.max_points, nvars=ctx.nvars,

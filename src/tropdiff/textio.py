@@ -17,7 +17,12 @@ Grammar (whitespace insignificant, numbers exact, no floats):
         support := pointset [ '+' cone ] | cone
         cone    := 'cone' pointset
         pointset:= '{' [ point { ',' point } ] '}'
-        point   := '(' nat { ',' nat } ')'
+        point   := '(' nat { ',' nat } ')'      m coordinates
+
+    command-line arguments
+        index   := point | nat { ',' nat }      --index, --box
+        tuple   := item { ';' item }            n items: --supports (support),
+                                                --at (expr, a series)
 
     tropical differential polynomials
         tpoly   := '0' | tterm { '+' tterm }
@@ -33,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .diffpoly import DiffMonomial, DiffPolynomial
 from .errors import ArityError, FieldError, ParseError
@@ -43,6 +48,8 @@ from .series import PowerSeries
 from .supports import SupportSet
 from .troppoly import SolutionReport, TropMonomial, TropPolynomial
 from .tropical import VertexSet
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# The numbered names t<k> and x<i>: what a bare name needs, and the range
+# of k in an error.
+_NAME_RANGES = {"t": ("arity 1", "arity {}"), "x": ("a single variable", "{} variables")}
+
 # Each parenthesis level costs four parser frames; this bound keeps deep
 # input far from the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -111,16 +122,13 @@ class _Parser:
         return None
 
     def expect_sym(self, sym: str) -> None:
-        kind, val, pos = self.peek()
-        if kind != "sym" or val != sym:
-            raise ParseError(f"expected {sym!r}", self.text, pos)
-        self.advance()
+        if self.match_sym(sym) is None:
+            raise ParseError(f"expected {sym!r}", self.text, self.peek()[2])
 
     def expect_int(self) -> int:
-        kind, val, pos = self.peek()
+        kind, val, pos = self.advance()
         if kind != "int":
             raise ParseError("expected an integer", self.text, pos)
-        self.advance()
         return int(val)
 
     def expect_end(self) -> None:
@@ -128,55 +136,90 @@ class _Parser:
         if kind != "end":
             raise ParseError("trailing input", self.text, pos)
 
-    # --- points and point sets
+    def parse_list(self, item: Callable[[], _T], sep: str) -> list[_T]:
+        """`item {sep item}`."""
+        items = [item()]
+        while self.match_sym(sep):
+            items.append(item())
+        return items
 
-    def parse_coords(self, open_sym: str, close_sym: str) -> Point:
-        """A nonempty comma-separated list of integers between two symbols."""
-        self.expect_sym(open_sym)
-        coords = [self.expect_int()]
-        while self.match_sym(","):
-            coords.append(self.expect_int())
-        self.expect_sym(close_sym)
+    # --- points, point sets and tuples
+
+    def parse_coords(self, what: str, delims: str, pos: int) -> Point:
+        """`int {',' int}` of arity m, between the two symbols of `delims` if any.
+
+        An arity error names `what` and points at `pos`.
+        """
+        if delims:
+            self.expect_sym(delims[0])
+        coords = self.parse_list(self.expect_int, ",")
+        if delims:
+            self.expect_sym(delims[1])
+        if len(coords) != self.ctx.arity:
+            raise ParseError(
+                f"{what} of arity {len(coords)}, expected {self.ctx.arity}",
+                self.text, pos,
+            )
         return tuple(coords)
 
     def parse_point(self) -> Point:
-        _, _, pos = self.peek()
-        coords = self.parse_coords("(", ")")
-        if len(coords) != self.ctx.arity:
-            raise ParseError(
-                f"point of arity {len(coords)}, expected {self.ctx.arity}",
-                self.text, pos,
-            )
-        return coords
+        return self.parse_coords("point", "()", self.peek()[2])
+
+    def parse_index(self) -> Point:
+        """A point whose parentheses may be left out: `(1,0)` or `1,0`."""
+        _, val, pos = self.peek()
+        return self.parse_coords("point", "()" if val == "(" else "", pos)
 
     def parse_point_set(self) -> tuple[Point, ...]:
         self.expect_sym("{")
-        pts: list[Point] = []
-        if not self.match_sym("}"):
-            pts.append(self.parse_point())
-            while self.match_sym(","):
-                pts.append(self.parse_point())
-            self.expect_sym("}")
+        if self.match_sym("}"):
+            return ()
+        pts = self.parse_list(self.parse_point, ",")
+        self.expect_sym("}")
         return tuple(pts)
 
     def parse_support(self) -> SupportSet:
-        kind, val, _ = self.peek()
         explicit: tuple[Point, ...] = ()
-        cones: tuple[Point, ...] = ()
-        if kind == "name" and val == "cone":
-            self.advance()
-            cones = self.parse_point_set()
-        else:
+        if self.peek()[1] != "cone":
             explicit = self.parse_point_set()
-            if self.match_sym("+"):
-                kind, val, pos = self.peek()
-                if kind != "name" or val != "cone":
-                    raise ParseError("expected 'cone'", self.text, pos)
-                self.advance()
-                cones = self.parse_point_set()
-        return SupportSet(self.ctx.arity, explicit, cones)
+            if not self.match_sym("+"):
+                return SupportSet(self.ctx.arity, explicit)
+            if self.peek()[1] != "cone":
+                raise ParseError("expected 'cone'", self.text, self.peek()[2])
+        self.advance()
+        return SupportSet(self.ctx.arity, explicit, self.parse_point_set())
 
-    # --- derivative variables
+    def parse_tuple(self, what: str, item: Callable[[], _T]) -> list[_T]:
+        """`item {';' item}` up to the end, one item per variable."""
+        items = self.parse_list(item, ";")
+        self.expect_end()  # stray input is reported before the count
+        if len(items) != self.ctx.nvars:
+            raise ParseError(f"expected {self.ctx.nvars} {what}, got {len(items)}")
+        return items
+
+    # --- numbered names and derivative variables
+
+    def match_numbered(self, letter: str, count: int, error: str | None = None) -> int | None:
+        """Parse the name `<letter><k>` as k in 1..count, or return None at any other token.
+
+        A bare name means k = 1 when count is 1.  Where `error` is given, the
+        name is refused with that message.  Errors point at the name.
+        """
+        _, val, pos = self.peek()
+        m_name = re.fullmatch(letter + r"(\d*)", val)  # only a name token can match
+        if m_name is None:
+            return None
+        digits = m_name.group(1)
+        k = int(digits or 1)
+        single, scope = _NAME_RANGES[letter]
+        if error is None and not digits and count != 1:
+            error = f"bare {letter!r} is only valid for {single}"
+        if error is None and not 1 <= k <= count:
+            error = f"variable {letter}{k} out of range for {scope.format(count)}"
+        if error is not None:
+            raise ParseError(error, self.text, pos)
+        self.advance()
+        return k
 
     def match_derivative_var(self, allowed: bool = True) -> tuple[int, Point] | None:
         """Parse `x<i>[j1,..,jm]` as (i, index), or return None at any other token.
@@ -184,49 +227,27 @@ class _Parser:
         For n = 1 the bare name `x` means `x1`.  Where `allowed` is false an
         `x` name is an error.  Errors point at the name.
         """
-        kind, val, pos = self.peek()
-        m_x = re.fullmatch(r"x(\d*)", val) if kind == "name" else None
-        if m_x is None:
-            return None
-        if not allowed:
-            raise ParseError("differential variables are not allowed here", self.text, pos)
-        self.advance()
-        i = int(m_x.group(1)) if m_x.group(1) else None
+        _, _, pos = self.peek()
+        i = self.match_numbered("x", self.ctx.nvars, None if allowed else
+                                "differential variables are not allowed here")
         if i is None:
-            if self.ctx.nvars != 1:
-                raise ParseError("bare 'x' is only valid for a single variable",
-                                 self.text, pos)
-            i = 1
-        if not 1 <= i <= self.ctx.nvars:
-            raise ParseError(
-                f"variable x{i} out of range for {self.ctx.nvars} variables",
-                self.text, pos,
-            )
-        idx = self.parse_coords("[", "]")
-        if len(idx) != self.ctx.arity:
-            raise ParseError(
-                f"derivative index of arity {len(idx)}, expected {self.ctx.arity}",
-                self.text, pos,
-            )
-        return i, idx
+            return None
+        return i, self.parse_coords("derivative index", "[]", pos)
 
     # --- polynomial expressions
 
     def parse_expr(self, allow_x: bool) -> DiffPolynomial:
-        sign = 1
-        if self.match_sym("-"):
-            sign = -1
-        else:
-            self.match_sym("+")
+        op = self.match_sym("+", "-")
         poly = self.parse_term(allow_x)
-        if sign < 0:
+        if op == "-":
             poly = -poly
-        while True:
-            op = self.match_sym("+", "-")
-            if op is None:
-                return poly
+        while op := self.match_sym("+", "-"):
             rhs = self.parse_term(allow_x)
             poly = poly + rhs if op == "+" else poly - rhs
+        return poly
+
+    def parse_series(self) -> PowerSeries:
+        return self.parse_expr(allow_x=False).coefficient(DiffMonomial.one())
 
     def parse_term(self, allow_x: bool) -> DiffPolynomial:
         poly = self.parse_factor(allow_x)
@@ -251,13 +272,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "int":
             self.advance()
-            num = int(val)
-            if self.match_sym("/"):
-                den = self.expect_int()
-                if den == 0:
-                    raise ParseError("zero denominator", self.text, pos)
-                return self._const_poly(self.ctx.field(Fraction(num, den)))
-            return self._const_poly(self.ctx.field(num))
+            den = self.expect_int() if self.match_sym("/") else 1
+            if den == 0:
+                raise ParseError("zero denominator", self.text, pos)
+            return self._const_poly(self.ctx.field(Fraction(int(val), den)))
         if kind == "sym" and val == "(":
             if self.depth >= MAX_NESTING:
                 raise ParseError(
@@ -276,21 +294,8 @@ class _Parser:
                     return self._const_poly(self.ctx.field.sqrt_d())
                 except FieldError as exc:
                     raise ParseError(str(exc), self.text, pos) from exc
-            m_t = re.fullmatch(r"t(\d*)", val)
-            if m_t:
-                self.advance()
-                k = int(m_t.group(1)) if m_t.group(1) else None
-                if k is None:
-                    if self.ctx.arity != 1:
-                        raise ParseError(
-                            "bare 't' is only valid for arity 1", self.text, pos
-                        )
-                    k = 1
-                if not 1 <= k <= self.ctx.arity:
-                    raise ParseError(
-                        f"variable t{k} out of range for arity {self.ctx.arity}",
-                        self.text, pos,
-                    )
+            k = self.match_numbered("t", self.ctx.arity)
+            if k is not None:
                 return self._term(PowerSeries.variable(self.ctx.arity, k, self.ctx.field))
             var = self.match_derivative_var(allow_x)
             if var is not None:
@@ -306,9 +311,7 @@ class _Parser:
         if kind == "int" and val == "0":
             self.advance()
             return TropPolynomial.zero(self.ctx.arity, self.ctx.nvars)
-        terms = [self.parse_trop_term()]
-        while self.match_sym("+"):
-            terms.append(self.parse_trop_term())
+        terms = self.parse_list(self.parse_trop_term, "+")
         return TropPolynomial(self.ctx.arity, self.ctx.nvars, tuple(terms))
 
     def parse_trop_term(self) -> tuple[TropMonomial, VertexSet]:
@@ -338,46 +341,47 @@ class _Parser:
 # ------------------------------------------------------------------ entry points
 
 
-def parse_point(text: str, ctx: ParseContext) -> Point:
+def _parse(text: str, ctx: ParseContext, rule: Callable[[_Parser], _T]) -> _T:
+    """Read all of `text` by one grammar rule."""
     p = _Parser(text, ctx)
-    out = p.parse_point()
+    out = rule(p)
     p.expect_end()
     return out
+
+
+def parse_point(text: str, ctx: ParseContext) -> Point:
+    """A point whose parentheses may be left out: `(1,0)` or `1,0`."""
+    return _parse(text, ctx, _Parser.parse_index)
 
 
 def parse_support(text: str, ctx: ParseContext) -> SupportSet:
-    p = _Parser(text, ctx)
-    out = p.parse_support()
-    p.expect_end()
-    return out
+    return _parse(text, ctx, _Parser.parse_support)
+
+
+def parse_supports(text: str, ctx: ParseContext) -> list[SupportSet]:
+    """A support tuple `S1;...;Sn`, one set per variable."""
+    return _parse(text, ctx, lambda p: p.parse_tuple("support sets", p.parse_support))
 
 
 def parse_vertex_set(text: str, ctx: ParseContext) -> VertexSet:
-    p = _Parser(text, ctx)
-    pts = p.parse_point_set()
-    p.expect_end()
-    return VertexSet(ctx.arity, pts)
+    return VertexSet(ctx.arity, _parse(text, ctx, _Parser.parse_point_set))
 
 
 def parse_series(text: str, ctx: ParseContext) -> PowerSeries:
-    p = _Parser(text, ctx)
-    poly = p.parse_expr(allow_x=False)
-    p.expect_end()
-    return poly.coefficient(DiffMonomial.one())
+    return _parse(text, ctx, _Parser.parse_series)
+
+
+def parse_series_tuple(text: str, ctx: ParseContext) -> list[PowerSeries]:
+    """A series tuple `phi1;...;phin`, one series per variable."""
+    return _parse(text, ctx, lambda p: p.parse_tuple("series", p.parse_series))
 
 
 def parse_diff_poly(text: str, ctx: ParseContext) -> DiffPolynomial:
-    p = _Parser(text, ctx)
-    poly = p.parse_expr(allow_x=True)
-    p.expect_end()
-    return poly
+    return _parse(text, ctx, lambda p: p.parse_expr(allow_x=True))
 
 
 def parse_trop_poly(text: str, ctx: ParseContext) -> TropPolynomial:
-    p = _Parser(text, ctx)
-    out = p.parse_trop_poly()
-    p.expect_end()
-    return out
+    return _parse(text, ctx, _Parser.parse_trop_poly)
 
 
 def parse_system(text: str, ctx: ParseContext) -> list[DiffPolynomial]:
@@ -406,8 +410,6 @@ def print_point_set(points: Iterable[Point]) -> str:
 
 
 def print_support(s: SupportSet) -> str:
-    if s.is_empty:
-        return "{}"
     if not s.cones:
         return print_point_set(s.explicit)
     cone = "cone" + print_point_set(s.cones)
@@ -479,23 +481,15 @@ def _diff_monomial_str(mono: DiffMonomial) -> str:
 
 
 def print_diff_poly(p: DiffPolynomial) -> str:
-    if p.is_zero:
-        return "0"
     pieces: list[tuple[int, str]] = []
     for mono, coef in p.terms:
         mstr = _diff_monomial_str(mono)
         sub = _series_pieces(coef)
-        if not mstr:
-            if len(sub) == 1:
-                pieces.append(sub[0])
-            else:
-                pieces.append((1, "(" + _join_signed(sub) + ")"))
-        elif len(sub) == 1 and sub[0][1] == "1":
-            pieces.append((sub[0][0], mstr))
-        elif len(sub) == 1:
-            pieces.append((sub[0][0], sub[0][1] + "*" + mstr))
-        else:
-            pieces.append((1, "(" + _join_signed(sub) + ")*" + mstr))
+        # a coefficient of several pieces is parenthesized; a unit one is left out
+        sign, body = sub[0] if len(sub) == 1 else (1, "(" + _join_signed(sub) + ")")
+        if mstr:
+            body = mstr if body == "1" else body + "*" + mstr
+        pieces.append((sign, body))
     return _join_signed(pieces)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -209,9 +210,7 @@ def is_solution_system(
 
 def count_candidates(box: Point, max_points: int | None, nvars: int) -> int:
     """Number of explicit-support tuples inside the box, before filtering."""
-    grid = 1
-    for b in box:
-        grid *= b + 1
+    grid = math.prod(b + 1 for b in box)
     top = grid if max_points is None else min(max_points, grid)
     if top == grid:
         return 2 ** (grid * nvars)
@@ -273,8 +272,10 @@ def enumerate_solutions(
         if p.nvars != nvars or p.arity != arity:
             raise ArityError("system members disagree on arity or variable count")
 
-    grid = sorted(itertools.product(*(range(b + 1) for b in box)))
-    top = len(grid) if max_points is None else min(max_points, len(grid))
+    size = math.prod(b + 1 for b in box)
+    top = size if max_points is None else min(max_points, size)
+    # With top >= 1 the cap bounds the grid: the count is at least (size+1)^nvars.
+    grid = sorted(itertools.product(*(range(b + 1) for b in box))) if top else []
     key_sets = [
         sorted({key for mono in p.monomials() for key, _ in mono.exponents})
         for p in polys

@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def run_process(*argv, timeout=10):
+    """`python -m tropdiff *argv` in a fresh interpreter, within `timeout` seconds."""
+    return subprocess.run([sys.executable, "-m", "tropdiff", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+
+
 SYS_71 = """\
 # order-two system over Q(sqrt 2)
 x1[1,0]^2 - 4*x1[0,0]
@@ -321,7 +331,35 @@ class TestEvalDeriveEnumerate:
     def test_point_error_position_without_parentheses(self, capsys):
         code, _, err = run(capsys, "derive", "-m", "1", "--index", "1_0",
                            "--poly", "x[0]")
-        assert code == 2 and err.strip() == "error: expected ')' (at position 1)"
+        assert code == 2 and err.strip() == "error: trailing input (at position 1)"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "-m", "1", "-n", "2", "--poly", "x1[0]-x2[0]",
+          "--supports", "{(0)};{(1,)}"), "expected an integer (at position 10)"),
+        (("check", "-m", "1", "-n", "2", "--poly", "x1[0]-x2[0]",
+          "--supports", "{(0)};"), "expected '{' (at position 6)"),
+        (("eval", "-m", "1", "-n", "2", "--poly", "x1[0]", "--at", "t;t+"),
+         "expected a term (at position 4)"),
+        (("check", "-m", "1", "-n", "2", "--poly", "x1[0]-x2[0]", "--supports", "{(0)}"),
+         "expected 2 support sets, got 1"),
+        (("eval", "-m", "1", "-n", "2", "--poly", "x1[0]", "--at", "t"),
+         "expected 2 series, got 1"),
+    ], ids=["supports-second-point", "supports-missing-set", "at-second-series",
+            "supports-count", "at-count"])
+    def test_tuple_errors_count_from_the_argument_start(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("derive", "-m", "2", "--poly", "x[0,0]^2 + t1*x[1,1]", "--index", "(1,0)"),
+        ("enumerate", "-m", "2", "--poly", "x[1,0]*x[0,1]-x[0,0]", "--derive-bound", "1",
+         "--box", "(3,2)"),
+    ], ids=["index", "box"])
+    def test_bare_index_prints_as_the_parenthesized_one(self, capsys, argv):
+        bare = argv[:-1] + (argv[-1].strip("()"),)
+        with_parens = run(capsys, *argv)
+        assert with_parens[0] == 0 and with_parens[1]
+        assert run(capsys, *bare) == with_parens
 
 
 class TestExamples:
@@ -366,13 +404,8 @@ class TestUsageErrors:
 
     def test_cap_refused_before_sampling(self):
         # 2^31 candidates: refused before any of the 200000 derivatives
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tropdiff", "enumerate", "-m", "1",
-             "--poly", "x[1]-x[0]", "--box", "30", "--derive-bound", "200000"],
-            capture_output=True, text=True, env=env, timeout=10,
-        )
+        proc = run_process("enumerate", "-m", "1", "--poly", "x[1]-x[0]", "--box", "30",
+                           "--derive-bound", "200000")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.strip().endswith("exceeding the cap of 100000")
 
@@ -384,10 +417,7 @@ class TestUsageErrors:
     ])
     def test_sample_cap_refused_before_sampling(self, argv):
         # few or no candidates, but over 100000 derivatives: the sample is refused
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run([sys.executable, "-m", "tropdiff", *argv],
-                              capture_output=True, text=True, env=env, timeout=10)
+        proc = run_process(*argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: the derivative sample would hold")
         assert proc.stderr.strip().endswith("exceeding the cap of 10000")
@@ -400,10 +430,7 @@ class TestUsageErrors:
     ])
     def test_large_exponents_and_indices(self, argv, stdout):
         # a power takes O(log n) products, and derivations stop at an exact zero
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run([sys.executable, "-m", "tropdiff", *argv],
-                              capture_output=True, text=True, env=env, timeout=10)
+        proc = run_process(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
     @pytest.mark.parametrize("argv, estimate", [
@@ -413,22 +440,23 @@ class TestUsageErrors:
     def test_large_boxes_refused_by_the_cap(self, argv, estimate):
         # the estimate takes O(1) or O(max_points) big-int steps, and prints
         # by magnitude, never as a string of thousands of digits
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run([sys.executable, "-m", "tropdiff", "enumerate", *argv],
-                              capture_output=True, text=True, env=env, timeout=10)
+        proc = run_process("enumerate", *argv)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: enumeration would visit an estimated {estimate} "
                                "candidate tuples, exceeding the cap of 100000\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["-m", "1", "--poly", "x[0]", "--box", "10000000"],
+        ["-m", "2", "--poly", "x[0,0]", "--box", "100000,100000"],
+    ])
+    def test_max_points_zero_builds_no_grid(self, argv):
+        # the only component is the empty set, whatever the box
+        proc = run_process("enumerate", *argv, "--max-points", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{}\n1 solution(s)\n", "")
+
     def test_deep_nesting_exit_2_without_traceback(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         poly = "(" * 3000 + "x1[0]" + ")" * 3000
-        proc = subprocess.run(
-            [sys.executable, "-m", "tropdiff", "trop", "-m", "1", "--poly", poly],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_process("trop", "-m", "1", "--poly", poly, timeout=60)
         assert proc.returncode == 2
         assert "nested deeper" in proc.stderr
         assert "Traceback" not in proc.stderr

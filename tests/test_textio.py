@@ -27,6 +27,9 @@ from tropdiff import (
 from tropdiff.textio import (
     MAX_NESTING,
     diff_poly_to_json,
+    parse_point,
+    parse_series_tuple,
+    parse_supports,
     report_to_json,
     series_to_json,
     support_to_json,
@@ -38,6 +41,8 @@ from gen import rand_diff_poly, rand_series, rand_support, rand_trop_poly
 
 Q2 = FieldSpec(2)
 CTX71 = ParseContext(arity=2, nvars=2, field=Q2)
+S1 = "{(2,0),(1,1),(0,2)}"
+S2 = "cone{(0,1)}"
 
 
 class TestParseDiffPoly:
@@ -149,6 +154,57 @@ class TestParseSeries:
     def test_bare_t_rejected_otherwise(self):
         with pytest.raises(ParseError):
             parse_series("2*t", CTX71)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 + t", "bare 't' is only valid for arity 1"),
+        ("1 + t3", "variable t3 out of range for arity 2"),
+        ("1 + t0", "variable t0 out of range for arity 2"),
+        ("1 + x1[0,0]", "differential variables are not allowed here"),
+        ("1 + x9", "differential variables are not allowed here"),
+    ])
+    def test_name_errors_point_at_the_name(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_series(text, CTX71)
+        assert (exc.value.message, exc.value.pos) == (message, 4)
+
+
+class TestParseIndexAndTuples:
+    @pytest.mark.parametrize("text", ["(1,0)", "1,0", " ( 1 , 0 ) ", " 1 , 0 "])
+    def test_index_parentheses_optional(self, text):
+        assert parse_point(text, CTX71) == (1, 0)
+
+    @pytest.mark.parametrize("text, message, pos", [
+        ("1", "point of arity 1, expected 2", 0),
+        ("(1,0,2)", "point of arity 3, expected 2", 0),
+        ("1,0)", "trailing input", 3),
+        ("(1,0", "expected ')'", 4),
+        ("1,", "expected an integer", 2),
+        ("", "expected an integer", 0),
+    ])
+    def test_index_errors(self, text, message, pos):
+        with pytest.raises(ParseError) as exc:
+            parse_point(text, CTX71)
+        assert (exc.value.message, exc.value.pos) == (message, pos)
+
+    def test_tuples_read_one_item_per_variable(self):
+        assert parse_supports(f"{S1} ; {S2}", CTX71) == [
+            parse_support(S1, CTX71), parse_support(S2, CTX71)]
+        assert parse_series_tuple("t1;1 + t2", CTX71) == [
+            parse_series("t1", CTX71), parse_series("1 + t2", CTX71)]
+
+    @pytest.mark.parametrize("parse, text, message, pos", [
+        (parse_supports, "{(0,0)}", "expected 2 support sets, got 1", None),
+        (parse_supports, "{};{};{}", "expected 2 support sets, got 3", None),
+        (parse_supports, "{(0,0)};{(1,)}", "expected an integer", 12),
+        (parse_supports, "{} {}", "trailing input", 3),
+        (parse_series_tuple, "t1", "expected 2 series, got 1", None),
+        (parse_series_tuple, "t1;t2+", "expected a term", 6),
+        (parse_series_tuple, "t1;;t2", "expected a term", 3),
+    ])
+    def test_tuple_errors(self, parse, text, message, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(text, CTX71)
+        assert (exc.value.message, exc.value.pos) == (message, pos)
 
 
 class TestParseTropPoly:
