@@ -7,7 +7,6 @@ Exit codes: 0 for success (and solution: true), 1 for solution: false,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .diffpoly import derivative_sample
@@ -62,8 +61,10 @@ def _load_system(args, ctx: ParseContext):
 
 
 def _emit(args, text: str, payload) -> None:
+    """Print `text`, or under --format json the JSON of `payload()`, built only then."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        import json  # text output, the common case, never loads it
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
         print(text)
 
@@ -83,7 +84,7 @@ def cmd_vertices(args) -> int:
     ctx = ParseContext(arity=arity)
     s = parse_support(args.set, ctx)
     v = s.vertices()
-    _emit(args, print_vertex_set(v), {"vertices": vertex_set_to_json(v)})
+    _emit(args, print_vertex_set(v), lambda: {"vertices": vertex_set_to_json(v)})
     return 0
 
 
@@ -91,7 +92,7 @@ def cmd_trop(args) -> int:
     ctx = _context(args)
     poly = parse_diff_poly(args.poly, ctx)
     tp = tropicalize(poly)
-    _emit(args, print_trop_poly(tp), trop_poly_to_json(tp))
+    _emit(args, print_trop_poly(tp), lambda: trop_poly_to_json(tp))
     return 0
 
 
@@ -99,7 +100,7 @@ def cmd_eval(args) -> int:
     ctx = _context(args)
     poly = parse_diff_poly(args.poly, ctx)
     result = poly.evaluate(parse_series_tuple(args.at, ctx))
-    _emit(args, print_series(result), series_to_json(result))
+    _emit(args, print_series(result), lambda: series_to_json(result))
     return 0
 
 
@@ -108,10 +109,10 @@ def cmd_derive(args) -> int:
     idx = parse_point(args.index, ctx)
     if args.poly is not None:
         out = parse_diff_poly(args.poly, ctx).theta(idx)
-        _emit(args, print_diff_poly(out), diff_poly_to_json(out))
+        _emit(args, print_diff_poly(out), lambda: diff_poly_to_json(out))
     else:
         out = parse_series(args.series, ctx).theta(idx)
-        _emit(args, print_series(out), series_to_json(out))
+        _emit(args, print_series(out), lambda: series_to_json(out))
     return 0
 
 
@@ -130,14 +131,13 @@ def cmd_check(args) -> int:
             lines.append(f"  {print_point(v)}: monomials {list(idx)}")
         lines.append(f"  solution: {str(r.solution).lower()}")
     lines.append(f"overall solution: {str(ok).lower()}")
-    payload = {
+    _emit(args, "\n".join(lines), lambda: {
         "solution": ok,
         "polynomials": [
             {"polynomial": text, "report": report_to_json(r)}
             for text, r in zip(printed, reports)
         ],
-    }
-    _emit(args, "\n".join(lines), payload)
+    })
     return 0 if ok else 1
 
 
@@ -151,8 +151,8 @@ def cmd_enumerate(args) -> int:
                                     max_candidates=args.max_candidates)
     lines = [" ; ".join(print_support(s) for s in tup) for tup in solutions]
     lines.append(f"{len(solutions)} solution(s)")
-    payload = {"solutions": [[support_to_json(s) for s in tup] for tup in solutions]}
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, "\n".join(lines), lambda: {
+        "solutions": [[support_to_json(s) for s in tup] for tup in solutions]})
     return 0
 
 
@@ -167,13 +167,12 @@ def cmd_examples(args) -> int:
     for r in results:
         lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
         lines.extend(f"      {line}" for line in r.details)
-    payload = {
+    _emit(args, "\n".join(lines), lambda: {
         "examples": [
             {"name": r.name, "pass": r.passed, "details": r.details}
             for r in results
         ]
-    }
-    _emit(args, "\n".join(lines), payload)
+    })
     return 0 if ok else 1
 
 

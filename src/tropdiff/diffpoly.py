@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._value import Value
 from .errors import ArityError, FieldError, PrecisionError, SampleCapError
 from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_point
@@ -57,15 +58,14 @@ class DerivativeKey(tuple):
         return DerivativeKey._trusted(var, idx[: k - 1] + (idx[k - 1] + 1,) + idx[k:])
 
 
-@dataclass(frozen=True)
-class DiffMonomial:
+class DiffMonomial(Value, namedtuple("DiffMonomial", "exponents")):
     """Sparse product of derivative variables: map key -> positive exponent."""
 
-    exponents: tuple[tuple[DerivativeKey, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, exponents: Iterable[tuple[DerivativeKey, int]] = ()) -> "DiffMonomial":
         acc: dict[DerivativeKey, int] = {}
-        for key, e in self.exponents:
+        for key, e in exponents:
             try:
                 acc[key] = acc.get(key, 0) + operator.index(e)
             except TypeError:
@@ -73,18 +73,12 @@ class DiffMonomial:
         for key, e in acc.items():
             if e < 0:
                 raise ValueError(f"negative exponent on {key}")
-        object.__setattr__(
-            self,
-            "exponents",
-            tuple((k, e) for k, e in sorted(acc.items()) if e > 0),
-        )
+        return tuple.__new__(cls, (tuple((k, e) for k, e in sorted(acc.items()) if e > 0),))
 
     @classmethod
     def _trusted(cls, exponents: tuple[tuple[DerivativeKey, int], ...]) -> "DiffMonomial":
         """A monomial from distinct sorted keys with positive int exponents."""
-        mono = object.__new__(cls)
-        object.__setattr__(mono, "exponents", exponents)
-        return mono
+        return tuple.__new__(cls, (exponents,))
 
     @classmethod
     def one(cls) -> "DiffMonomial":
@@ -110,50 +104,38 @@ class DiffMonomial:
                 raise ArityError(f"index {key.index} of x{key.var} is not of arity {arity}")
 
 
-@dataclass(frozen=True)
-class DiffPolynomial:
+class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field terms")):
     """Finite sum of (series coefficient, differential monomial) terms."""
 
-    arity: int
-    nvars: int
-    field: FieldSpec = RATIONALS
-    terms: tuple[tuple[DiffMonomial, PowerSeries], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nvars < 1:
-            raise ArityError(f"nvars must be >= 1, got {self.nvars}")
+    def __new__(cls, arity: int, nvars: int, field: FieldSpec = RATIONALS,
+                terms: Iterable[tuple[DiffMonomial, PowerSeries]] = ()) -> "DiffPolynomial":
+        if nvars < 1:
+            raise ArityError(f"nvars must be >= 1, got {nvars}")
         acc: dict[DiffMonomial, PowerSeries] = {}
-        for mono, coef in self.terms:
-            mono._check_keys(self.arity, self.nvars)
-            if coef.arity != self.arity:
+        for mono, coef in terms:
+            mono._check_keys(arity, nvars)
+            if coef.arity != arity:
                 raise ArityError("coefficient arity differs from polynomial arity")
-            if coef.field != self.field:
+            if coef.field != field:
                 raise FieldError("coefficient from a different field")
             acc[mono] = acc[mono] + coef if mono in acc else coef
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(
-                (mono, coef)
-                for mono, coef in sorted(acc.items(), key=lambda t: t[0].exponents)
-                if not coef.is_zero
-            ),
-        )
+        return tuple.__new__(cls, (arity, nvars, field, tuple(
+            (mono, coef)
+            for mono, coef in sorted(acc.items(), key=lambda t: t[0].exponents)
+            if not coef.is_zero
+        )))
 
     @classmethod
     def _trusted(cls, arity: int, nvars: int, field: FieldSpec,
                  terms: tuple[tuple[DiffMonomial, PowerSeries], ...]) -> "DiffPolynomial":
-        """A polynomial from terms as `__post_init__` leaves them, without the checks.
+        """A polynomial from terms as `__new__` leaves them, without the checks.
 
         The monomials must be distinct, sorted by exponents and in range for
         `(arity, nvars)`; the coefficients nonzero series of `arity` over `field`.
         """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "arity", arity)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "field", field)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+        return tuple.__new__(cls, (arity, nvars, field, terms))
 
     @property
     def is_zero(self) -> bool:

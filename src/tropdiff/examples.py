@@ -6,8 +6,9 @@ and compares against independently derived expected values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
+from ._value import Value
 from .field import FieldSpec
 from .supports import SupportSet
 from .textio import (
@@ -22,11 +23,8 @@ from .tropical import VertexSet
 from .troppoly import enumerate_solutions, is_solution, is_solution_system, tropicalize, tropicalize_sample
 
 
-@dataclass
-class ExampleResult:
-    name: str
-    passed: bool
-    details: list[str] = field(default_factory=list)
+class ExampleResult(Value, namedtuple("ExampleResult", "name passed details")):
+    __slots__ = ()
 
 
 def vertex_extraction() -> ExampleResult:

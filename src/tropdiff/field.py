@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from ._value import Value
 from .errors import FieldError
 
 RationalLike = int | Fraction
@@ -30,19 +31,19 @@ def power(x, n: int, one, mul):
     return one if acc is None else acc
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    d: int | None = None
+class FieldSpec(Value, namedtuple("FieldSpec", "d")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d is not None:
+    def __new__(cls, d: int | None = None) -> "FieldSpec":
+        if d is not None:
             try:
-                d = operator.index(self.d)
+                n = operator.index(d)
             except TypeError:
-                d = 0  # not an integer: refused below
-            if d < 2 or math.isqrt(d) ** 2 == d:
-                raise FieldError(f"d must be a nonsquare integer >= 2, got {self.d!r}")
-            object.__setattr__(self, "d", d)
+                n = 0  # not an integer: refused below
+            if n < 2 or math.isqrt(n) ** 2 == n:
+                raise FieldError(f"d must be a nonsquare integer >= 2, got {d!r}")
+            d = n
+        return tuple.__new__(cls, (d,))
 
     def __call__(self, a: RationalLike = 0, b: RationalLike = 0) -> "FieldElement":
         return FieldElement(self, a, b)
@@ -79,30 +80,25 @@ def _rational(x: RationalLike) -> Fraction:
     raise FieldError(f"field elements take int or Fraction parts, got {x!r}")
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Value, namedtuple("FieldElement", "field a b")):
     """a + b*sqrt(d) with exact rational a, b; b = 0 over the plain rationals."""
 
-    field: FieldSpec
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", _rational(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", _rational(self.b))
-        if self.field.d is None and self.b != 0:
+    def __new__(cls, field: FieldSpec, a: RationalLike, b: RationalLike = Fraction(0)
+                ) -> "FieldElement":
+        if type(a) is not Fraction:
+            a = _rational(a)
+        if type(b) is not Fraction:
+            b = _rational(b)
+        if field.d is None and b != 0:
             raise FieldError("irrational part in a plain rational field element")
+        return tuple.__new__(cls, (field, a, b))
 
     @classmethod
     def _trusted(cls, field: FieldSpec, a: Fraction, b: Fraction) -> "FieldElement":
         """a + b*sqrt(d) from Fraction parts that fit `field`, without the checks."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "field", field)
-        object.__setattr__(c, "a", a)
-        object.__setattr__(c, "b", b)
-        return c
+        return tuple.__new__(cls, (field, a, b))
 
     def _scaled(self, n: int) -> "FieldElement":
         """self * n for a Python int n, without coercing n into the field."""
@@ -126,7 +122,9 @@ class FieldElement:
             return NotImplemented
         return FieldElement._trusted(self.field, self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        # NotImplemented would let a tuple on the left concatenate the fields
+        return Value.__radd__(self, other) if isinstance(other, tuple) else self.__add__(other)
 
     def __neg__(self):
         return FieldElement._trusted(self.field, -self.a, -self.b)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
+from ._value import Value
 from .errors import ArityError, FieldError, PrecisionError
 from .field import RATIONALS, FieldElement, FieldSpec, power
 from .lattice import Point, as_point
@@ -36,36 +37,30 @@ def factorial_of(p: Point) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    arity: int
-    field: FieldSpec = RATIONALS
-    terms: tuple[tuple[Point, FieldElement], ...] = ()
-    precision: int | None = None  # None: exact; N: degrees < N authoritative
+class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision")):
+    """Exponent-to-coefficient terms; `precision` None: exact, N: degrees < N authoritative."""
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ArityError(f"arity must be >= 1, got {self.arity}")
-        if self.precision is not None and self.precision < 0:
-            raise PrecisionError(f"negative precision {self.precision}")
-        checked = tuple((as_point(exp, self.arity), self.field.coerce(c)) for exp, c in self.terms)
-        normal = PowerSeries._normal(self.arity, self.field, ((checked, self.precision),))
-        object.__setattr__(self, "terms", normal.terms)
+    __slots__ = ()
+
+    def __new__(cls, arity: int, field: FieldSpec = RATIONALS,
+                terms: Iterable[tuple[Iterable[int], FieldElement | int]] = (),
+                precision: int | None = None) -> "PowerSeries":
+        if arity < 1:
+            raise ArityError(f"arity must be >= 1, got {arity}")
+        if precision is not None and precision < 0:
+            raise PrecisionError(f"negative precision {precision}")
+        checked = tuple((as_point(exp, arity), field.coerce(c)) for exp, c in terms)
+        return cls._normal(arity, field, ((checked, precision),))
 
     @classmethod
     def _trusted(cls, arity: int, field: FieldSpec, terms: tuple[tuple[Point, FieldElement], ...],
                  precision: int | None) -> "PowerSeries":
-        """A series from terms as `__post_init__` leaves them, without the checks.
+        """A series from terms as `__new__` leaves them, without the checks.
 
         The points must be valid, of `arity`, distinct, sorted and of total
         degree below `precision`; the coefficients nonzero elements of `field`.
         """
-        s = object.__new__(cls)
-        object.__setattr__(s, "arity", arity)
-        object.__setattr__(s, "field", field)
-        object.__setattr__(s, "terms", terms)
-        object.__setattr__(s, "precision", precision)
-        return s
+        return tuple.__new__(cls, (arity, field, terms, precision))
 
     @classmethod
     def _normal(cls, arity: int, field: FieldSpec,

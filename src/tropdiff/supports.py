@@ -20,9 +20,10 @@ they are componentwise identical, so `==` is semantic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
+from ._value import Value
 from .errors import ArityError
 from .field import power
 from .lattice import Point, _minimal, add, as_point, canon, leq
@@ -72,20 +73,16 @@ def _normalize(
     return expl, gens
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(Value, namedtuple("SupportSet", "arity explicit cones")):
     """A normalized staircase subset of the lattice Z^arity_>=0."""
 
-    arity: int
-    explicit: tuple[Point, ...] = ()
-    cones: tuple[Point, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ArityError(f"arity must be >= 1, got {self.arity}")
-        expl, gens = _normalize(self.arity, self.explicit, self.cones)
-        object.__setattr__(self, "explicit", expl)
-        object.__setattr__(self, "cones", gens)
+    def __new__(cls, arity: int, explicit: Iterable[Iterable[int]] = (),
+                cones: Iterable[Iterable[int]] = ()) -> "SupportSet":
+        if arity < 1:
+            raise ArityError(f"arity must be >= 1, got {arity}")
+        return tuple.__new__(cls, (arity, *_normalize(arity, explicit, cones)))
 
     @classmethod
     def empty(cls, arity: int) -> "SupportSet":

@@ -36,10 +36,11 @@ print identically and `parse(print(v)) == v`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
+from ._value import Value
 from .diffpoly import DiffMonomial, DiffPolynomial
 from .errors import ArityError, FieldError, ParseError
 from .field import RATIONALS, FieldElement, FieldSpec, power
@@ -52,17 +53,15 @@ from .tropical import VertexSet
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class ParseContext:
+class ParseContext(Value, namedtuple("ParseContext", "arity nvars field")):
     """Fixes the ambient arity m, variable count n, and coefficient field."""
 
-    arity: int
-    nvars: int = 1
-    field: FieldSpec = RATIONALS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 1 or self.nvars < 1:
+    def __new__(cls, arity: int, nvars: int = 1, field: FieldSpec = RATIONALS):
+        if arity < 1 or nvars < 1:
             raise ArityError("arity and nvars must be >= 1")
+        return tuple.__new__(cls, (arity, nvars, field))
 
 
 # ------------------------------------------------------------------ tokenizer

@@ -11,34 +11,32 @@ unit is the origin singleton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
+from ._value import Value
 from .errors import ArityError
 from .lattice import Point, _vertices_cached, add, as_point, canon
 
 
-@dataclass(frozen=True, slots=True)
-class VertexSet:
-    """A finite antichain of lattice points, canonicalized at construction."""
+class VertexSet(Value, namedtuple("VertexSet", "arity points")):
+    """A finite antichain of lattice points, canonicalized at construction.
 
-    arity: int
-    points: tuple[Point, ...] = ()
+    Iteration, `len`, `in` and truth read its points.
+    """
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ArityError(f"arity must be >= 1, got {self.arity}")
-        pts = canon(self.points, self.arity)
-        # pts is canonical already: skip the second canon in vertices_of_finite
-        object.__setattr__(self, "points", _vertices_cached(pts))
+    __slots__ = ()
+
+    def __new__(cls, arity: int, points: Iterable[Iterable[int]] = ()) -> "VertexSet":
+        if arity < 1:
+            raise ArityError(f"arity must be >= 1, got {arity}")
+        # canonical points: skip the second canon in vertices_of_finite
+        return tuple.__new__(cls, (arity, _vertices_cached(canon(points, arity))))
 
     @classmethod
     def _trusted(cls, arity: int, points: tuple[Point, ...]) -> "VertexSet":
         """Vertex set of canonical points of `arity`, without validating them."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "arity", arity)
-        object.__setattr__(v, "points", _vertices_cached(points))
-        return v
+        return tuple.__new__(cls, (arity, _vertices_cached(points)))
 
     @classmethod
     def _trusted_unsorted(cls, arity: int, points: Iterable[Point]) -> "VertexSet":
@@ -66,6 +64,12 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def __contains__(self, p) -> bool:
+        return p in self.points
+
+    def __bool__(self) -> bool:
+        return bool(self.points)
 
     def _check(self, other: "VertexSet") -> None:
         if self.arity != other.arity:

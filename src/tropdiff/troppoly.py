@@ -13,9 +13,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import ArityError, CandidateCapError
 from .diffpoly import DiffMonomial, DiffPolynomial, derivative_sample
 from .lattice import Point, as_point, leq
@@ -29,40 +30,31 @@ TropMonomial = DiffMonomial
 DEFAULT_CANDIDATE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class TropPolynomial:
+class TropPolynomial(Value, namedtuple("TropPolynomial", "arity nvars terms")):
     """Finite map from tropical monomials to nonempty vertex-set coefficients."""
 
-    arity: int
-    nvars: int
-    terms: tuple[tuple[TropMonomial, VertexSet], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nvars < 1:
-            raise ArityError(f"nvars must be >= 1, got {self.nvars}")
+    def __new__(cls, arity: int, nvars: int,
+                terms: Iterable[tuple[TropMonomial, VertexSet]] = ()) -> "TropPolynomial":
+        if nvars < 1:
+            raise ArityError(f"nvars must be >= 1, got {nvars}")
         acc: dict[TropMonomial, VertexSet] = {}
-        for mono, coef in self.terms:
-            mono._check_keys(self.arity, self.nvars)
-            if coef.arity != self.arity:
+        for mono, coef in terms:
+            mono._check_keys(arity, nvars)
+            if coef.arity != arity:
                 raise ArityError("coefficient arity differs from polynomial arity")
             if coef.is_empty:
                 raise ValueError("tropical coefficients must be nonempty vertex sets")
             acc[mono] = acc[mono].oplus(coef) if mono in acc else coef
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(acc.items(), key=lambda t: t[0].exponents)),
-        )
+        return tuple.__new__(cls, (arity, nvars,
+                                   tuple(sorted(acc.items(), key=lambda t: t[0].exponents))))
 
     @classmethod
     def _trusted(cls, arity: int, nvars: int,
                  terms: tuple[tuple[TropMonomial, VertexSet], ...]) -> "TropPolynomial":
-        """A polynomial from terms as `__post_init__` leaves them, without the checks."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "arity", arity)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+        """A polynomial from terms as `__new__` leaves them, without the checks."""
+        return tuple.__new__(cls, (arity, nvars, terms))
 
     @classmethod
     def zero(cls, arity: int, nvars: int) -> "TropPolynomial":
@@ -132,19 +124,16 @@ def tropicalize_sample(polys: Iterable[DiffPolynomial], bound: int) -> tuple[Tro
 # -------------------------------------------------------------------- solutions
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Value, namedtuple("SolutionReport", "evaluation witnesses solution")):
     """Evaluation of one tropical polynomial plus per-vertex witness counts.
 
-    `witnesses` maps each vertex of the evaluation to the sorted indices of
-    the monomials (in canonical term order) whose term set contains it; the
-    verdict is true iff every vertex has at least two witnesses, or the
-    evaluation is empty.
+    `evaluation` is a VertexSet; `witnesses` maps each vertex of the
+    evaluation to the sorted indices of the monomials (in canonical term
+    order) whose term set contains it; the verdict `solution` is true iff
+    every vertex has at least two witnesses, or the evaluation is empty.
     """
 
-    evaluation: VertexSet
-    witnesses: tuple[tuple[Point, tuple[int, ...]], ...]
-    solution: bool
+    __slots__ = ()
 
 
 def _valuations(polys: Sequence[TropPolynomial], supports: Sequence[SupportSet]) -> dict:

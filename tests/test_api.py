@@ -3,8 +3,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import tropdiff
 
@@ -184,3 +187,31 @@ def test_no_trusted_construction_of_input():
                                                     or node.attr == "_normal"):
                 calls.append(f"{name}:{node.lineno}")
     assert calls == []
+
+
+# Each CLI call is a fresh interpreter that pays for every module the
+# package loads at start-up: values are tuples, since `dataclasses` pulls in
+# `inspect` and generates code per class, and `json` waits for --format json.
+def test_no_module_imports_dataclasses():
+    imports = []
+    for path in sorted(pathlib.Path(tropdiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
+
+
+def test_cli_start_up_loads_no_heavy_module():
+    code = ("import sys; before = set(sys.modules); "
+            "import tropdiff.cli as c; c.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))")
+    src = pathlib.Path(tropdiff.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr

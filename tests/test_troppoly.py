@@ -348,13 +348,13 @@ class TestEnumerate:
         sample = tropicalize_sample(
             [parse_diff_poly("x1[1,0]*x1[0,1] - x1[0,0]", ctx)], 1)
         built = []
-        init = SupportSet.__post_init__
+        new = SupportSet.__new__
 
-        def counting_init(self):
-            built.append(self)
-            init(self)
+        def counting_new(cls, *args, **kwargs):
+            built.append(new(cls, *args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(SupportSet, "__post_init__", counting_init)
+        monkeypatch.setattr(SupportSet, "__new__", counting_new)
         sols = enumerate_solutions(sample, (3, 2), nvars=1)
         assert len(built) == len(sols) == 753
         assert ((1, 1),) in [s.explicit for (s,) in sols]

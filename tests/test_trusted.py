@@ -272,13 +272,13 @@ def test_sample_builds_nothing_through_validation(monkeypatch):
     polys = bundled_polys()
     calls = []
     for cls in (PowerSeries, DiffMonomial, DiffPolynomial):
-        original = cls.__post_init__
+        original = cls.__new__
 
-        def counting(self, original=original):
-            calls.append(type(self).__name__)
-            original(self)
+        def counting(cls, *args, original=original, **kwargs):
+            calls.append(cls.__name__)
+            return original(cls, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__new__", counting)
     sample = tuple(derivative_sample(polys, 2))
     assert len(sample) == 27 and calls == []
     DiffMonomial()  # the counter does count a validated construction
@@ -289,13 +289,13 @@ def test_check_evaluates_nothing_through_validation(monkeypatch):
     sample = [tropicalize(q) for q in derivative_sample(bundled_polys(), 2)]
     supports = tuple(SupportSet(2, pts) for pts in BUNDLED_SUPPORTS)
     calls = []
-    original = VertexSet.__post_init__
+    original = VertexSet.__new__
 
-    def counting(self):
-        calls.append(self)
-        original(self)
+    def counting(cls, *args, **kwargs):
+        calls.append(original(cls, *args, **kwargs))
+        return calls[-1]
 
-    monkeypatch.setattr(VertexSet, "__post_init__", counting)
+    monkeypatch.setattr(VertexSet, "__new__", counting)
     ok, reports = is_solution_system(sample, supports)
     assert ok and len(reports) == 27 and calls == []
     VertexSet.unit(2)  # the counter does count a validated construction
