@@ -44,8 +44,7 @@ from .troppoly import (
 
 
 def _context(args) -> ParseContext:
-    sqrt = getattr(args, "sqrt", None)
-    field = FieldSpec() if sqrt is None else FieldSpec(sqrt)
+    field = FieldSpec() if args.sqrt is None else FieldSpec(args.sqrt)
     return ParseContext(arity=args.arity, nvars=args.nvars, field=field)
 
 
@@ -179,9 +178,9 @@ def cmd_examples(args) -> int:
 # ------------------------------------------------------------------ wiring
 
 
-def _add_common(p: argparse.ArgumentParser, *, arity_required: bool = True) -> None:
-    p.add_argument("--arity", "-m", type=int, required=arity_required,
-                   default=None, help="number of series variables t1..tm")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--arity", "-m", type=int, required=True,
+                   help="number of series variables t1..tm")
     p.add_argument("--nvars", "-n", type=int, default=1,
                    help="number of differential variables x1..xn")
     p.add_argument("--sqrt", type=int, default=None, metavar="D",

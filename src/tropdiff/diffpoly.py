@@ -113,29 +113,35 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
                 terms: Iterable[tuple[DiffMonomial, PowerSeries]] = ()) -> "DiffPolynomial":
         if nvars < 1:
             raise ArityError(f"nvars must be >= 1, got {nvars}")
-        acc: dict[DiffMonomial, PowerSeries] = {}
+        groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
         for mono, coef in terms:
             mono._check_keys(arity, nvars)
             if coef.arity != arity:
                 raise ArityError("coefficient arity differs from polynomial arity")
             if coef.field != field:
                 raise FieldError("coefficient from a different field")
-            acc[mono] = acc[mono] + coef if mono in acc else coef
-        return tuple.__new__(cls, (arity, nvars, field, tuple(
-            (mono, coef)
-            for mono, coef in sorted(acc.items(), key=lambda t: t[0].exponents)
-            if not coef.is_zero
-        )))
+            groups.setdefault(mono.exponents, []).append((coef.terms, coef.precision))
+        return cls._normal(arity, nvars, field, groups)
 
     @classmethod
-    def _trusted(cls, arity: int, nvars: int, field: FieldSpec,
-                 terms: tuple[tuple[DiffMonomial, PowerSeries], ...]) -> "DiffPolynomial":
-        """A polynomial from terms as `__new__` leaves them, without the checks.
+    def _normal(cls, arity: int, nvars: int, field: FieldSpec,
+                groups: dict[tuple[tuple[DerivativeKey, int], ...], list]) -> "DiffPolynomial":
+        """The sum of each monomial's `(terms, precision)` series parts, in normal form.
 
-        The monomials must be distinct, sorted by exponents and in range for
-        `(arity, nvars)`; the coefficients nonzero series of `arity` over `field`.
+        `groups` maps monomial exponents, in range for `(arity, nvars)`, to
+        parts of `arity` over `field`, each in series normal form: a lone part
+        is kept as it is, more are summed by `PowerSeries._normal`.  Monomials
+        whose sum has no known terms are dropped, the rest sorted by exponents.
         """
-        return tuple.__new__(cls, (arity, nvars, field, terms))
+        terms = []
+        for exponents, parts in sorted(groups.items()):
+            if len(parts) == 1:
+                coef = PowerSeries._trusted(arity, field, *parts[0])
+            else:
+                coef = PowerSeries._normal(arity, field, parts)
+            if coef.terms:
+                terms.append((DiffMonomial._trusted(exponents), coef))
+        return tuple.__new__(cls, (arity, nvars, field, tuple(terms)))
 
     @property
     def is_zero(self) -> bool:
@@ -160,25 +166,26 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
 
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         self._check(other)
-        return DiffPolynomial(self.arity, self.nvars, self.field,
-                              self.terms + other.terms)
+        groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
+        for mono, coef in self.terms + other.terms:
+            groups.setdefault(mono.exponents, []).append((coef.terms, coef.precision))
+        return DiffPolynomial._normal(self.arity, self.nvars, self.field, groups)
 
     def __neg__(self) -> "DiffPolynomial":
-        return DiffPolynomial(
-            self.arity, self.nvars, self.field,
-            tuple((m, -c) for m, c in self.terms),
-        )
+        return DiffPolynomial._normal(self.arity, self.nvars, self.field, {
+            mono.exponents: [((-coef).terms, coef.precision)] for mono, coef in self.terms})
 
     def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         self._check(other)
-        out = []
+        groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                out.append((m1 * m2, c1 * c2))
-        return DiffPolynomial(self.arity, self.nvars, self.field, tuple(out))
+                coef = c1 * c2
+                groups.setdefault((m1 * m2).exponents, []).append((coef.terms, coef.precision))
+        return DiffPolynomial._normal(self.arity, self.nvars, self.field, groups)
 
     # ---------------------------------------------------------------- derivations
 
@@ -186,17 +193,15 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         """One derivation along axis k: Leibniz over variables plus d(alpha)/dt_k.
 
         The contributions to each monomial are gathered as `(terms,
-        precision)` parts and summed by the series normal form,
-        `PowerSeries._normal`; monomials whose sum has no known terms are
-        dropped.  Each monomial, series and the polynomial are built once,
-        without re-validation.
+        precision)` parts and summed by `DiffPolynomial._normal`; monomials
+        whose sum has no known terms are dropped.
         """
         if not 1 <= k <= self.arity:
             raise ArityError(f"axis {k} out of range for arity {self.arity}")
-        parts: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
+        groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
         for mono, coef in self.terms:
             d = coef.derive(k)
-            parts.setdefault(mono.exponents, []).append((d.terms, d.precision))
+            groups.setdefault(mono.exponents, []).append((d.terms, d.precision))
             for key, e in mono.exponents:
                 # x_{i,J}^e -> e * x_{i,J}^(e-1) * x_{i,J+e_k}
                 counts = dict(mono.exponents)
@@ -206,16 +211,10 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
                     counts[key] = e - 1
                 bumped = key.bump(k)
                 counts[bumped] = counts.get(bumped, 0) + 1
-                scaled = coef.terms if e == 1 else [(p, c._scaled(e)) for p, c in coef.terms]
-                parts.setdefault(tuple(sorted(counts.items())), []).append(
+                scaled = coef.terms if e == 1 else tuple((p, c._scaled(e)) for p, c in coef.terms)
+                groups.setdefault(tuple(sorted(counts.items())), []).append(
                     (scaled, coef.precision))
-
-        terms = []
-        for exponents, group in sorted(parts.items()):
-            coef = PowerSeries._normal(self.arity, self.field, group)
-            if coef.terms:
-                terms.append((DiffMonomial._trusted(exponents), coef))
-        return DiffPolynomial._trusted(self.arity, self.nvars, self.field, tuple(terms))
+        return DiffPolynomial._normal(self.arity, self.nvars, self.field, groups)
 
     def theta(self, shift: Iterable[int]) -> "DiffPolynomial":
         """Iterated derivations per the multi-index `shift`; they stop at zero."""
@@ -258,7 +257,7 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         their constant term after the differentiation.
         """
         q = self.theta(shift)
-        out = []
+        groups = {}
         origin = (0,) * self.arity
         for mono, coef in q.terms:
             if coef.precision is not None and coef.precision < 1:
@@ -267,8 +266,8 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
                 )
             c0 = coef.coeff(origin)
             if not c0.is_zero:
-                out.append((mono, PowerSeries.constant(self.arity, c0, self.field)))
-        return DiffPolynomial(self.arity, self.nvars, self.field, tuple(out))
+                groups[mono.exponents] = [(((origin, c0),), None)]
+        return DiffPolynomial._normal(self.arity, self.nvars, self.field, groups)
 
     def eval_at_constants(self, values: Callable[[int, Point], FieldElement]) -> FieldElement:
         """Evaluate a constant-coefficient polynomial at numbers x_{i,J} = values(i, J)."""

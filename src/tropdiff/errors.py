@@ -31,14 +31,16 @@ class ParseError(TropdiffError, ValueError):
 
 
 class CandidateCapError(TropdiffError, RuntimeError):
-    """Enumeration refused: the candidate count exceeds the configured cap."""
+    """Enumeration refused: `estimate` candidates (None: 2^bits or more) exceed the cap."""
 
-    def __init__(self, estimate: int, cap: int):
+    def __init__(self, estimate: int | None, cap: int, bits: int | None = None):
         self.estimate = estimate
         self.cap = cap
         # a long estimate is shown by its magnitude: str() of an int over
         # 4300 digits raises, and its digits would say nothing more
-        shown = estimate if estimate < 10**30 else f"2^{estimate.bit_length() - 1} or more"
+        if estimate is not None:
+            bits = estimate.bit_length() - 1
+        shown = f"2^{bits} or more" if estimate is None or estimate >= 10**30 else estimate
         super().__init__(
             f"enumeration would visit an estimated {shown} candidate tuples, "
             f"exceeding the cap of {cap}"

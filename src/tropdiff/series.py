@@ -25,10 +25,6 @@ from .supports import SupportSet
 from .tropical import VertexSet
 
 
-def _total(p: Point) -> int:
-    return sum(p)
-
-
 def factorial_of(p: Point) -> int:
     """Componentwise factorial product j_1! * ... * j_m!."""
     out = 1
@@ -76,12 +72,13 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
         acc: dict[Point, FieldElement] = {}
         prec = None
         for terms, p in parts:
-            prec = _min_prec(prec, p)
+            if p is not None and (prec is None or p < prec):
+                prec = p
             for q, c in terms:
                 s = acc.get(q)
                 acc[q] = c if s is None else s + c
         kept = tuple((q, c) for q, c in sorted(acc.items())
-                     if c and (prec is None or _total(q) < prec))
+                     if c and (prec is None or sum(q) < prec))
         return cls._trusted(arity, field, kept, prec)
 
     # ---------------------------------------------------------------- factories
@@ -124,9 +121,9 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
 
     def coeff(self, exponent: Iterable[int]) -> FieldElement:
         p = as_point(exponent, self.arity)
-        if self.precision is not None and _total(p) >= self.precision:
+        if self.precision is not None and sum(p) >= self.precision:
             raise PrecisionError(
-                f"coefficient of degree {_total(p)} beyond precision {self.precision}"
+                f"coefficient of degree {sum(p)} beyond precision {self.precision}"
             )
         for q, c in self.terms:
             if q == p:
@@ -137,7 +134,7 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
         """Order of the known part (None when no terms are stored)."""
         if not self.terms:
             return None
-        return min(_total(p) for p, _ in self.terms)
+        return min(sum(p) for p, _ in self.terms)
 
     # ---------------------------------------------------------------- arithmetic
 
@@ -208,7 +205,7 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
             if all(map(operator.ge, p, j)):
                 n = math.prod(map(math.perm, p, j))
                 terms.append((tuple(map(operator.sub, p, j)), c._scaled(n)))
-        prec = None if self.precision is None else max(self.precision - _total(j), 0)
+        prec = None if self.precision is None else max(self.precision - sum(j), 0)
         # p -> p - J keeps the order and lowers every degree by |J|
         return PowerSeries._trusted(self.arity, self.field, tuple(terms), prec)
 
@@ -238,14 +235,6 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
         """Single Taylor coefficient; honors the precision of truncated series."""
         p = as_point(exponent, self.arity)
         return self.coeff(p) * factorial_of(p)
-
-
-def _min_prec(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def _prod_prec(x: PowerSeries, y: PowerSeries) -> int | None:

@@ -405,7 +405,7 @@ def print_point(p: Point) -> str:
 
 
 def print_point_set(points: Iterable[Point]) -> str:
-    return "{" + ",".join(print_point(p) for p in sorted(points)) + "}"
+    return "{" + ",".join(print_point(p) for p in points) + "}"
 
 
 def print_support(s: SupportSet) -> str:

@@ -197,21 +197,35 @@ def is_solution_system(
 # -------------------------------------------------------------------- enumeration
 
 
-def count_candidates(box: Point, max_points: int | None, nvars: int) -> int:
-    """Number of explicit-support tuples inside the box, before filtering."""
+def count_candidates(box: Point, max_points: int | None, nvars: int,
+                     cap: int | None = None) -> int:
+    """Number of explicit-support tuples inside the box, before filtering.
+
+    A count above `cap` raises `CandidateCapError`.  Exponents and partial
+    sums are compared with width = max(cap bits, 100): a count known to be
+    2^width or more is refused with that lower bound before it is built.
+    """
     grid = math.prod(b + 1 for b in box)
     top = grid if max_points is None else min(max_points, grid)
-    if top == grid:
-        return 2 ** (grid * nvars)
+    width = math.inf if cap is None else max(cap.bit_length(), 100)
     # sum C(grid, k) over k <= top, or 2^grid minus the sum over k > top,
-    # whichever side is shorter, with C(g, k+1) = C(g, k)(g - k)/(k + 1)
+    # whichever side is shorter, with C(g, k+1) = C(g, k)(g - k)/(k + 1).
+    # A component has 2^low subsets or more; on the second side all or (top >= grid/2) half.
     short = min(top, grid - top - 1)
-    binom = partial = 1
-    for k in range(short):
+    low = 0 if short == top else grid if top == grid else grid - 1
+    binom, partial = 1, 1 if top < grid else 0
+    for k in range(short if low < width else 0):
         binom = binom * (grid - k) // (k + 1)
         partial += binom
-    per_component = partial if short == top else 2 ** grid - partial
-    return per_component ** nvars
+        low = max(low, partial.bit_length() - 1)
+        if low >= width:
+            break
+    if low * nvars >= width:
+        raise CandidateCapError(None, cap, low * nvars)
+    count = (partial if short == top else 2 ** grid - partial) ** nvars
+    if cap is not None and count > cap:
+        raise CandidateCapError(count, cap)
+    return count
 
 
 def enumerate_solutions(
@@ -253,25 +267,22 @@ def enumerate_solutions(
     if max_candidates < 0:
         raise ValueError("max_candidates must be >= 0")
     arity = len(box)
-    estimate = count_candidates(box, max_points, nvars)
-    if estimate > max_candidates:
-        raise CandidateCapError(estimate, max_candidates)
+    count_candidates(box, max_points, nvars, max_candidates)
     polys = list(polys)
     for p in polys:
         if p.nvars != nvars or p.arity != arity:
             raise ArityError("system members disagree on arity or variable count")
 
-    size = math.prod(b + 1 for b in box)
-    top = size if max_points is None else min(max_points, size)
-    # With top >= 1 the cap bounds the grid: the count is at least (size+1)^nvars.
-    grid = sorted(itertools.product(*(range(b + 1) for b in box))) if top else []
+    # With max_points >= 1 the cap bounds the grid: the count is at least (len(grid)+1)^nvars.
+    grid = sorted(itertools.product(*(range(b + 1) for b in box))) if max_points != 0 else []
+    top = len(grid) if max_points is None else min(max_points, len(grid))
     key_sets = [
         sorted({key for mono in p.monomials() for key, _ in mono.exponents})
         for p in polys
     ]
     shifts = sorted({key.index for keys in key_sets for key in keys})
     # inside[col][i]: grid[i] lies in the orthant J + Z^m_>=0 of column col.
-    inside = [[leq(j, q) for q in grid] for j in shifts]
+    inside = [bytes([leq(j, q) for q in grid]) for j in shifts]
     # Vertex sets interned as ids, so equal vertex sets share one id; id 0
     # is the empty set.
     vertex_sets: list[tuple[Point, ...]] = [()]

@@ -169,16 +169,18 @@ def test_val_is_called_only_by_the_valuation_routes():
 
 
 # Outside input enters through textio.py and cli.py, so it must go through
-# the validating constructors there; the `_trusted` ones and the series
-# normalizer `PowerSeries._normal` skip every check.
+# the validating constructors there; the `_trusted` ones and the normal
+# forms `PowerSeries._normal` and `DiffPolynomial._normal` skip every check.
 INPUT_READERS = ("textio.py", "cli.py")
-TRUSTED_OWNERS = ("FieldElement", "DerivativeKey", "DiffMonomial", "PowerSeries",
-                  "DiffPolynomial", "VertexSet", "TropPolynomial")
+TRUSTED_OWNERS = ("FieldElement._trusted", "DerivativeKey._trusted", "DiffMonomial._trusted",
+                  "PowerSeries._trusted", "DiffPolynomial._normal", "VertexSet._trusted",
+                  "TropPolynomial._trusted")
 
 
 def test_no_trusted_construction_of_input():
     for name in TRUSTED_OWNERS:
-        assert hasattr(getattr(tropdiff, name), "_trusted"), name
+        owner, attr = name.split(".")
+        assert hasattr(getattr(tropdiff, owner), attr), name
     calls = []
     for name in INPUT_READERS:
         path = pathlib.Path(tropdiff.__file__).parent / name

@@ -445,6 +445,22 @@ class TestUsageErrors:
         assert proc.stderr == (f"error: enumeration would visit an estimated {estimate} "
                                "candidate tuples, exceeding the cap of 100000\n")
 
+    @pytest.mark.parametrize("argv, bits", [
+        (["-m", "2", "--poly", "x[0,0]", "--box", "100000,100000"], 100001 ** 2),
+        (["-m", "1", "--poly", "x[0]", "--box", "10000000000"], 10**10 + 1),
+        (["-m", "1", "--poly", "x[0]", "--box", "1000000", "--max-points", "500000"], None),
+    ])
+    def test_huge_boxes_refused_at_once(self, argv, bits):
+        # exponents and partial sums are compared with the cap, so no power
+        # of 2^grid is built; the bound printed is a true lower bound
+        proc = run_process("enumerate", *argv, timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        head, tail = "error: enumeration would visit an estimated 2^", (
+            " or more candidate tuples, exceeding the cap of 100000\n")
+        assert proc.stderr.startswith(head) and proc.stderr.endswith(tail)
+        k = int(proc.stderr[len(head):-len(tail)])
+        assert k == bits if bits is not None else 100 <= k < 10**6
+
     @pytest.mark.parametrize("argv", [
         ["-m", "1", "--poly", "x[0]", "--box", "10000000"],
         ["-m", "2", "--poly", "x[0,0]", "--box", "100000,100000"],

@@ -310,6 +310,32 @@ class TestEnumerate:
         assert count_candidates((10**6,), 2, 1) == 1 + (10**6 + 1) + math.comb(10**6 + 1, 2)
         assert count_candidates((10**6,), 10**6, 1) == 2 ** (10**6 + 1) - 1
 
+    def test_count_candidates_refuses_past_the_cap(self):
+        # below the cap the count is exact; above it, a count under 2^100 is
+        # exact in the error, and a larger one a true lower bound 2^k
+        for box in ((0,), (4,), (9,), (2, 2), (3, 1), (40,), (200,)):
+            grid = math.prod(b + 1 for b in box)
+            for max_points in (None, 0, 1, 2, grid // 2, grid - 1, grid):
+                for nvars, cap in itertools.product((1, 2, 3), (0, 5, 1000, 2**120)):
+                    count = count_candidates(box, max_points, nvars)
+                    if count <= cap:
+                        assert count_candidates(box, max_points, nvars, cap) == count
+                        continue
+                    with pytest.raises(CandidateCapError) as exc:
+                        count_candidates(box, max_points, nvars, cap)
+                    err = exc.value
+                    assert err.cap == cap
+                    if count < 2**100:
+                        assert err.estimate == count
+                    elif err.estimate is None:
+                        k = int(str(err).split("2^")[1].split(" ")[0])
+                        assert 100 <= k <= count.bit_length() - 1
+                    else:
+                        assert err.estimate == count
+        with pytest.raises(CandidateCapError) as exc:
+            count_candidates((10**12,), None, 2, 100)
+        assert exc.value.estimate is None and "2^2000000000002 or more" in str(exc.value)
+
     def test_cap_message_shows_long_estimates_by_magnitude(self):
         short = CandidateCapError(10**30 - 1, 5)
         assert str(short) == ("enumeration would visit an estimated " + "9" * 30

@@ -201,8 +201,64 @@ def test_diff_polynomial():
     for m, n, field in itertools.product((1, 2), (1, 2), (Q, Q2)):
         for _ in range(20):
             p = rand_diff_poly(rng, m, n, field, max_terms=4)
-            trusted = DiffPolynomial._trusted(m, n, field, p.terms)
+            groups = {mono.exponents: [(c.terms, c.precision)]
+                      for mono, c in shuffled(rng, p.terms)}
+            trusted = DiffPolynomial._normal(m, n, field, groups)
             assert trusted == DiffPolynomial(m, n, field, shuffled(rng, p.terms))
+
+
+def split(rng, coef: PowerSeries) -> list:
+    """`coef` as one to three `(terms, precision)` parts, each in series normal form.
+
+    Its terms are dealt out at random, and some coefficients are split into
+    two nonzero summands that land in different parts.
+    """
+    pieces = [[] for _ in range(rng.randint(1, 3))]
+    for p, c in coef.terms:
+        summands = [c]
+        a = rand_field_element(rng, coef.field, nonzero=True)
+        if len(pieces) > 1 and a != c and rng.random() < 0.5:
+            summands = [a, c - a]
+        for piece, s in zip(rng.sample(pieces, len(summands)), summands):
+            piece.append((p, s))
+    return [(tuple(piece), coef.precision) for piece in pieces]
+
+
+def test_diff_polynomial_normal_form_of_split_parts():
+    # duplicate monomials from a pool of three, truncated coefficients, and
+    # negated copies whose sums cancel; the expected coefficients are summed
+    # by the Fraction-pair reference
+    rng = random.Random(100)
+    cancelled = 0
+    for m, n, field in itertools.product((1, 2), (1, 2), (Q, Q2)):
+        pool = [rand_diff_monomial(rng, m, n, order=2, max_keys=3) for _ in range(3)]
+        for _ in range(40):
+            terms, negated = [], set()
+            for _ in range(rng.randint(0, 5)):
+                mono = rng.choice(pool)
+                coef = rand_series(rng, m, field, hi=3, kmax=4,
+                                   precision=rng.choice((None, None, 1, 3, 5)))
+                terms.append((mono, coef))
+                if rng.random() < 0.3:
+                    terms.append((mono, -coef))
+                    negated.add(mono)
+            groups: dict = {}
+            for mono, coef in shuffled(rng, terms):
+                groups.setdefault(mono.exponents, []).extend(split(rng, coef))
+            for parts in groups.values():
+                rng.shuffle(parts)
+            got = DiffPolynomial._normal(m, n, field, groups)
+            assert got == DiffPolynomial(m, n, field, shuffled(rng, terms))
+            want: dict = {}
+            for mono, coef in terms:
+                want[mono] = pairs_add(want[mono], pairs_of(coef)) if mono in want \
+                    else pairs_of(coef)
+            assert {mono: pairs_of(c) for mono, c in got.terms} == {
+                mono: x for mono, x in want.items() if x[0]}
+            assert [mono.exponents for mono in got.monomials()] == sorted(
+                mono.exponents for mono in got.monomials())
+            cancelled += len(negated - set(got.monomials()))
+    assert cancelled > 20
 
 
 def cancelling(m: int, n: int, k: int, var: int, index, c: FieldElement) -> DiffPolynomial:
@@ -283,6 +339,29 @@ def test_sample_builds_nothing_through_validation(monkeypatch):
     assert len(sample) == 27 and calls == []
     DiffMonomial()  # the counter does count a validated construction
     assert calls == ["DiffMonomial"]
+
+
+def test_ring_operations_build_nothing_through_validation(monkeypatch):
+    p, q, r = bundled_polys()
+    truncated = DiffPolynomial(2, 2, Q2, (
+        (DiffMonomial.variable(1, (0, 1)), PowerSeries(2, Q2, (((0, 0), 2), ((1, 0), 3)), 3)),
+        (DiffMonomial(), PowerSeries.one(2, Q2).truncate(2)),
+    ))
+    calls = []
+    for cls in (PowerSeries, DiffPolynomial):
+        original = cls.__new__
+
+        def counting(cls, *args, original=original, **kwargs):
+            calls.append(cls.__name__)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    built = [p + q, p - q, q - q, -r, p * q, r * truncated, truncated + truncated,
+             p.derive(1), truncated.derive(2), q.theta((1, 1)),
+             r.taylor_coeff_poly((1, 0)), truncated.taylor_coeff_poly((0, 1))]
+    assert calls == [] and built[2].is_zero and not built[-1].is_zero
+    DiffPolynomial(2, 2, Q2)  # the counter does count a validated construction
+    assert calls == ["DiffPolynomial"]
 
 
 def test_check_evaluates_nothing_through_validation(monkeypatch):
