@@ -93,7 +93,10 @@ class DiffMonomial(Value, namedtuple("DiffMonomial", "exponents")):
         return not self.exponents
 
     def __mul__(self, other: "DiffMonomial") -> "DiffMonomial":
-        return DiffMonomial(self.exponents + other.exponents)
+        acc = dict(self.exponents)
+        for key, e in other.exponents:
+            acc[key] = acc.get(key, 0) + e
+        return DiffMonomial._trusted(tuple(sorted(acc.items())))
 
     def _check_keys(self, arity: int, nvars: int) -> None:
         """Every key names one of `nvars` variables with an index of `arity` entries."""

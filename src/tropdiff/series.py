@@ -221,7 +221,7 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
         """Vertex set of the support; exact series only."""
         if self.precision is not None:
             raise PrecisionError("the tropicalization of a truncated series is unknowable")
-        return VertexSet._trusted(self.arity, tuple(p for p, _ in self.terms))
+        return VertexSet._normal(self.arity, [p for p, _ in self.terms])
 
     # ---------------------------------------------------------------- coefficients
 

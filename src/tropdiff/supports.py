@@ -85,6 +85,12 @@ class SupportSet(Value, namedtuple("SupportSet", "arity explicit cones")):
         return tuple.__new__(cls, (arity, *_normalize(arity, explicit, cones)))
 
     @classmethod
+    def _trusted(cls, arity: int, explicit: tuple[Point, ...],
+                 cones: tuple[Point, ...] = ()) -> "SupportSet":
+        """A support set from parts as `__new__` leaves them, without the checks."""
+        return tuple.__new__(cls, (arity, explicit, cones))
+
+    @classmethod
     def empty(cls, arity: int) -> "SupportSet":
         return cls(arity)
 
@@ -170,4 +176,4 @@ class SupportSet(Value, namedtuple("SupportSet", "arity explicit cones")):
         validated again.
         """
         expl, gens = self._shifted(as_point(shift, self.arity))
-        return VertexSet._trusted_unsorted(self.arity, expl + gens)
+        return VertexSet._normal(self.arity, expl + gens)

@@ -20,9 +20,10 @@ from .lattice import Point, _vertices_cached, add, as_point, canon
 
 
 class VertexSet(Value, namedtuple("VertexSet", "arity points")):
-    """A finite antichain of lattice points, canonicalized at construction.
+    """A finite antichain of lattice points, fixed by the vertex operator.
 
-    Iteration, `len`, `in` and truth read its points.
+    `__new__` validates, `_normal` computes the vertex set, `_trusted` keeps
+    points that are one already.  Iteration, `len`, `in` and truth read them.
     """
 
     __slots__ = ()
@@ -30,18 +31,17 @@ class VertexSet(Value, namedtuple("VertexSet", "arity points")):
     def __new__(cls, arity: int, points: Iterable[Iterable[int]] = ()) -> "VertexSet":
         if arity < 1:
             raise ArityError(f"arity must be >= 1, got {arity}")
-        # canonical points: skip the second canon in vertices_of_finite
-        return tuple.__new__(cls, (arity, _vertices_cached(canon(points, arity))))
+        return cls._normal(arity, canon(points, arity))
+
+    @classmethod
+    def _normal(cls, arity: int, points: Iterable[Point]) -> "VertexSet":
+        """Vertex set of valid points of `arity`, in any order, repeats allowed."""
+        return cls._trusted(arity, _vertices_cached(tuple(sorted(set(points)))))
 
     @classmethod
     def _trusted(cls, arity: int, points: tuple[Point, ...]) -> "VertexSet":
-        """Vertex set of canonical points of `arity`, without validating them."""
-        return tuple.__new__(cls, (arity, _vertices_cached(points)))
-
-    @classmethod
-    def _trusted_unsorted(cls, arity: int, points: Iterable[Point]) -> "VertexSet":
-        """Vertex set of valid points of `arity`, deduplicated and sorted here."""
-        return cls._trusted(arity, tuple(sorted(set(points))))
+        """A vertex set from points that already are one: canonical, of `arity`."""
+        return tuple.__new__(cls, (arity, points))
 
     @classmethod
     def empty(cls, arity: int) -> "VertexSet":
@@ -78,14 +78,14 @@ class VertexSet(Value, namedtuple("VertexSet", "arity points")):
     def oplus(self, other: "VertexSet") -> "VertexSet":
         """Tropical sum: vertex set of the union."""
         self._check(other)
-        return VertexSet._trusted_unsorted(self.arity, self.points + other.points)
+        return VertexSet._normal(self.arity, self.points + other.points)
 
     def odot(self, other: "VertexSet") -> "VertexSet":
         """Tropical product: vertex set of the Minkowski sum; empty annihilates."""
         self._check(other)
         if self.is_empty or other.is_empty:
             return self if self.is_empty else other
-        return VertexSet._trusted_unsorted(
+        return VertexSet._normal(
             self.arity, [add(p, q) for p in self.points for q in other.points])
 
     def odot_power(self, n: int) -> "VertexSet":
@@ -94,5 +94,5 @@ class VertexSet(Value, namedtuple("VertexSet", "arity points")):
             raise ValueError("tropical powers require n >= 0")
         if n == 0:
             return VertexSet.unit(self.arity)
-        # scaling by n >= 1 keeps the points canonical
+        # scaling by n >= 1 keeps the order, and n*Vert(V) = Vert(n*V)
         return VertexSet._trusted(self.arity, tuple(tuple(n * c for c in p) for p in self.points))

@@ -159,7 +159,7 @@ def _report(poly: TropPolynomial, vals: dict, memo: dict) -> SolutionReport:
             v = memo[mono] = _product(mono, vals, poly.arity)
         sets.append(coef.odot(v))
     # Vert(union of the Vert T_i) = Vert(union of the T_i): one (+) over all terms
-    evaluation = VertexSet._trusted_unsorted(poly.arity, [v for ts in sets for v in ts])
+    evaluation = VertexSet._normal(poly.arity, [v for ts in sets for v in ts])
     witnesses = []
     verdict = True
     for v in evaluation.points:
@@ -274,7 +274,7 @@ def enumerate_solutions(
             raise ArityError("system members disagree on arity or variable count")
 
     # With max_points >= 1 the cap bounds the grid: the count is at least (len(grid)+1)^nvars.
-    grid = sorted(itertools.product(*(range(b + 1) for b in box))) if max_points != 0 else []
+    grid = list(itertools.product(*(range(b + 1) for b in box))) if max_points != 0 else []
     top = len(grid) if max_points is None else min(max_points, len(grid))
     key_sets = [
         sorted({key for mono in p.monomials() for key, _ in mono.exponents})
@@ -290,8 +290,8 @@ def enumerate_solutions(
 
     @functools.cache
     def extend(v: int, i: int) -> int:
-        # grid[i] is the component's greatest point, so the points stay canonical
-        pts = VertexSet._trusted(arity, vertex_sets[v] + (grid[i],)).points
+        # Vert(r union {p}) = Vert(Vert(r) union {p}) for p = grid[i]
+        pts = VertexSet._normal(arity, vertex_sets[v] + (grid[i],)).points
         if pts not in ids:
             ids[pts] = len(vertex_sets)
             vertex_sets.append(pts)
@@ -317,14 +317,15 @@ def enumerate_solutions(
 
     @functools.cache
     def val(v: int, j: Point) -> VertexSet:
-        # The points of id v lie in J's orthant, and translating them by -J
-        # keeps their order and their vertex property: Val_J = Vert(r) - J.
-        return VertexSet._trusted(arity, tuple(
-            tuple([a - b for a, b in zip(q, j)]) for q in vertex_sets[v]))
+        # Translating id v's points, in J's orthant, by -J keeps their order and
+        # vertex property (Val_J = Vert(r) - J); an interned equal set is shared.
+        pts = tuple(tuple([a - b for a, b in zip(q, j)]) for q in vertex_sets[v])
+        return VertexSet._trusted(arity, vertex_sets[ids[pts]] if pts in ids else pts)
 
     @functools.cache
     def support(c: int) -> SupportSet:
-        return SupportSet(arity, tuple(grid[i] for i in components[c]))
+        # sorted grid points and no cones: already in normal form
+        return SupportSet._trusted(arity, tuple(grid[i] for i in components[c]))
 
     # One verdict memo per polynomial, keyed by its signature.
     column = {j: col for col, j in enumerate(shifts)}

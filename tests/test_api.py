@@ -168,13 +168,28 @@ def test_val_is_called_only_by_the_valuation_routes():
     assert _package_owners(is_val_call) == VAL_CALLERS
 
 
+# The vertex routine has one entry per use: the public function and the
+# vertex-set normal form; values that are vertex sets already skip it.
+VERTEX_ROUTINE_CALLERS = ["lattice.py:vertices_of_finite", "tropical.py:VertexSet._normal"]
+
+
+def test_vertex_routine_is_called_only_by_the_normal_forms():
+    def is_routine_call(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Name) and func.id == "_vertices_cached"
+                or isinstance(func, ast.Attribute) and func.attr == "_vertices_cached")
+
+    assert _package_owners(is_routine_call) == VERTEX_ROUTINE_CALLERS
+
+
 # Outside input enters through textio.py and cli.py, so it must go through
 # the validating constructors there; the `_trusted` ones and the normal
-# forms `PowerSeries._normal` and `DiffPolynomial._normal` skip every check.
+# forms `PowerSeries._normal`, `DiffPolynomial._normal` and `VertexSet._normal`
+# skip every check.
 INPUT_READERS = ("textio.py", "cli.py")
 TRUSTED_OWNERS = ("FieldElement._trusted", "DerivativeKey._trusted", "DiffMonomial._trusted",
-                  "PowerSeries._trusted", "DiffPolynomial._normal", "VertexSet._trusted",
-                  "TropPolynomial._trusted")
+                  "PowerSeries._trusted", "DiffPolynomial._normal", "VertexSet._normal",
+                  "VertexSet._trusted", "SupportSet._trusted", "TropPolynomial._trusted")
 
 
 def test_no_trusted_construction_of_input():

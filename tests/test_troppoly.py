@@ -369,20 +369,25 @@ class TestEnumerate:
 
     def test_builds_few_support_sets(self, monkeypatch):
         # [0,3]x[0,2] has 4096 components; a SupportSet is built only for
-        # each component of a solution, once
+        # each component of a solution, once, and without validation
         ctx = ParseContext(arity=2, nvars=1)
         sample = tropicalize_sample(
             [parse_diff_poly("x1[1,0]*x1[0,1] - x1[0,0]", ctx)], 1)
-        built = []
-        new = SupportSet.__new__
+        built, validated = [], []
+        new, trusted = SupportSet.__new__, SupportSet._trusted
 
         def counting_new(cls, *args, **kwargs):
-            built.append(new(cls, *args, **kwargs))
+            validated.append(new(cls, *args, **kwargs))
+            return validated[-1]
+
+        def counting_trusted(cls, *args):
+            built.append(trusted(*args))
             return built[-1]
 
         monkeypatch.setattr(SupportSet, "__new__", counting_new)
+        monkeypatch.setattr(SupportSet, "_trusted", classmethod(counting_trusted))
         sols = enumerate_solutions(sample, (3, 2), nvars=1)
-        assert len(built) == len(sols) == 753
+        assert len(built) == len(sols) == 753 and validated == []
         assert ((1, 1),) in [s.explicit for (s,) in sols]
 
     def test_matches_bruteforce_scan(self):

@@ -14,6 +14,7 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,8 @@ def test_diff_monomial():
             mono = rand_diff_monomial(rng, m, 2, order=2, max_keys=4, max_exp=3)
             raw = shuffled(rng, mono.exponents)
             assert DiffMonomial._trusted(mono.exponents) == DiffMonomial(raw)
+            other = rand_diff_monomial(rng, m, 2, order=2, max_keys=4, max_exp=3)
+            assert mono * other == DiffMonomial(raw + other.exponents)
 
 
 def test_power_series():
@@ -159,8 +162,22 @@ def test_vertex_set():
             pts = rand_points(rng, m, 5, 8)
             raw = shuffled(rng, pts + pts[: rng.randint(0, len(pts))])
             want = VertexSet(m, pts)
-            assert VertexSet._trusted_unsorted(m, raw) == want
-            assert VertexSet._trusted(m, canon(raw, m)) == want
+            assert VertexSet._normal(m, raw) == want
+            # _trusted keeps its points as they are, vertex set or not
+            assert VertexSet._trusted(m, want.points) == want
+            assert VertexSet._trusted(m, raw).points is raw
+
+
+def test_support_set():
+    rng = random.Random(101)
+    for m in (1, 2, 3):
+        for _ in range(60):
+            s = rand_support(rng, m)
+            trusted = SupportSet._trusted(m, s.explicit, s.cones)
+            assert trusted == SupportSet(m, shuffled(rng, s.explicit), shuffled(rng, s.cones))
+            # explicit points alone, canonical, are already in normal form
+            pts = canon(rand_points(rng, m, 4, 6), m)
+            assert SupportSet._trusted(m, pts) == SupportSet(m, shuffled(rng, pts))
 
 
 def test_vertex_set_operations():
@@ -339,6 +356,25 @@ def test_sample_builds_nothing_through_validation(monkeypatch):
     assert len(sample) == 27 and calls == []
     DiffMonomial()  # the counter does count a validated construction
     assert calls == ["DiffMonomial"]
+
+
+def test_monomial_products_build_nothing_through_validation(monkeypatch):
+    # the parser's atoms (`DiffMonomial.variable`) validate, their products do not
+    callers, products = [], []
+    new, mul = DiffMonomial.__new__, DiffMonomial.__mul__
+
+    def counting_new(cls, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return new(cls, *args, **kwargs)
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(DiffMonomial, "__new__", counting_new)
+    monkeypatch.setattr(DiffMonomial, "__mul__", counting_mul)
+    bundled_polys()
+    assert products and "variable" in callers and "__mul__" not in callers
 
 
 def test_ring_operations_build_nothing_through_validation(monkeypatch):
