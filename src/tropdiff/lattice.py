@@ -8,10 +8,12 @@ are nonnegative rationals lambda_c summing to 1 with
     sum_c lambda_c * c  <=  p   componentwise.
 
 The LP runs a fraction-free simplex on an integer tableau (Bareiss-style
-pivoting over the previous pivot); there are no floats and no tolerances
-anywhere.  The vertex set of C consists of the points of C that do not lie
-in the Newton polygon of the remaining points; it is always an antichain
-under the componentwise order and spans the same Newton polygon as C.
+pivoting over the previous pivot), entering the most negative reduced cost
+(Dantzig) until its first degenerate pivot and by Bland's rule after it, so
+it terminates; there are no floats and no tolerances anywhere.  The vertex
+set of C consists of the points of C that do not lie in the Newton polygon
+of the remaining points; it is always an antichain under the componentwise
+order and spans the same Newton polygon as C.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def canon(points: Iterable[Iterable[int]], arity: int | None = None) -> tuple[Po
 
 def leq(p: Point, q: Point) -> bool:
     """Componentwise p <= q."""
-    return all(a <= b for a, b in zip(p, q))
+    return all(map(operator.le, p, q))
 
 
 def add(p: Point, q: Point) -> Point:
@@ -67,19 +69,25 @@ def minimal_elements(points: Iterable[Point]) -> tuple[Point, ...]:
 
 
 def _minimal(pts: tuple[Point, ...]) -> tuple[Point, ...]:
-    """The minimal points of `pts`, in their order."""
-    return tuple(
-        p for p in pts if not any(q != p and leq(q, p) for q in pts)
-    )
+    """Minimal points of sorted, distinct `pts`, in order: a point below p sorts first."""
+    mins: list[Point] = []
+    for p in pts:
+        if not any(leq(q, p) for q in mins):
+            mins.append(p)
+    return tuple(mins)
 
 
 def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
-    """Exact phase-1 simplex with Bland's rule, fraction-free.
+    """Exact phase-1 simplex, fraction-free, with Dantzig then Bland pricing.
 
     Decides feasibility of { lambda >= 0, sum lambda = 1,
     sum_j lambda_j cols[j] + v = target, v >= 0 }.  The m slack rows start
     basic; a single artificial variable covers the convexity row, and the
     system is feasible iff the artificial can be driven to zero.
+
+    The entering column has the most negative reduced cost (lowest index on
+    ties) while the objective strictly falls, so no basis repeats; from the
+    first degenerate pivot (ratio 0) on, Bland's rule (Bland 1977) terminates.
 
     The tableau is kept in integers over the common denominator `det`, the
     previous pivot (Bareiss 1968, Edmonds 1967): every stored entry is a
@@ -103,10 +111,12 @@ def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
     obj[n + m] = 0
     det = 1
 
-    while True:
-        enter = next((j for j in range(width) if obj[j] < 0), None)
-        if enter is None:
-            return obj[width] == 0
+    bland = False
+    while obj[width]:  # -det times the artificial's value
+        low = min(obj[:width])
+        if low >= 0:
+            return False
+        enter = next(j for j, v in enumerate(obj) if v < 0) if bland else obj.index(low)
         leave = -1
         best_rhs = best_a = best_var = 0
         for i in range(m + 1):
@@ -119,6 +129,7 @@ def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
                     best_rhs, best_a, best_var, leave = rhs, a, basis[i], i
         if leave < 0:  # objective bounded below by 0, so this cannot happen
             return False
+        bland = bland or best_rhs == 0
         prow = rows[leave]
         piv = prow[enter]
         for i in range(m + 1):
@@ -129,6 +140,7 @@ def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
         obj = [(piv * v - f * w) // det for v, w in zip(obj, prow)]
         det = piv
         basis[leave] = enter
+    return True
 
 
 def member_newton(p: Iterable[int], points: Iterable[Iterable[int]]) -> bool:
@@ -153,13 +165,16 @@ def member_newton(p: Iterable[int], points: Iterable[Iterable[int]]) -> bool:
 
 @lru_cache(maxsize=1 << 16)
 def _vertices_cached(points: tuple[Point, ...]) -> tuple[Point, ...]:
-    """Vertex set of canonical points (as `canon` returns them), in their order."""
-    mins = _minimal(points)
-    return tuple(
-        x
-        for x in mins
-        if not member_newton(x, tuple(y for y in mins if y != x))
-    )
+    """Vertex set of canonical points (as `canon` returns them), in their order.
+
+    Each minimal point meets only the points not yet found to be non-vertices:
+    dropping one leaves N(points), and so its vertices, unchanged.
+    """
+    keep = list(_minimal(points))
+    for x in tuple(keep):
+        if member_newton(x, tuple(y for y in keep if y != x)):
+            keep.remove(x)
+    return tuple(keep)
 
 
 def vertices_of_finite(points: Iterable[Iterable[int]]) -> tuple[Point, ...]:

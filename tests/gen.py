@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from tropdiff import (
     DiffMonomial,
@@ -23,6 +24,34 @@ def rand_point(rng: random.Random, m: int, hi: int) -> tuple[int, ...]:
 
 def rand_points(rng: random.Random, m: int, hi: int, kmax: int, kmin: int = 0):
     return tuple(rand_point(rng, m, hi) for _ in range(rng.randint(kmin, kmax)))
+
+
+def convex_position_set(rng: random.Random, m: int, count: int, side: int, scale: int,
+                        midpoints: int = 0, dominated: int = 0):
+    """`count` points in convex position on sum(x) = c, and non-vertices.
+
+    The free coordinates (y, |y|^2), for y in a grid of side `side`, lie on a
+    strictly convex surface; scaling by `scale` and the last coordinate
+    c - sum keep every point extreme.  Up to `midpoints` integral midpoints
+    of pairs of them and `dominated` points above one of them are added.
+    Returns the surface points and all points, shuffled.
+    """
+    grid = list(product(range(side + 1), repeat=m - 2))
+    ys = [tuple(scale * a for a in g + (sum(a * a for a in g),))
+          for g in rng.sample(grid, count)]
+    c = max(sum(y) for y in ys) + rng.randint(0, 3)
+    perm = rng.sample(range(m), m)
+    surface = [tuple((y + (c - sum(y),))[i] for i in perm) for y in ys]
+    pts = list(surface)
+    for _ in range(midpoints):
+        p, q = rng.sample(surface, 2)
+        if all((a + b) % 2 == 0 for a, b in zip(p, q)):
+            pts.append(tuple((a + b) // 2 for a, b in zip(p, q)))
+    for _ in range(dominated):
+        p, k = rng.choice(surface), rng.randrange(m)
+        pts.append(tuple(x + (i == k) * rng.randint(1, scale) for i, x in enumerate(p)))
+    rng.shuffle(pts)
+    return surface, pts
 
 
 def rand_support(rng: random.Random, m: int, hi: int = 6, kmax: int = 3,

@@ -1,12 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 from tropdiff import cli
 from tropdiff.cli import main
+
+from gen import convex_position_set
 
 
 def run(capsys, *argv):
@@ -61,6 +65,25 @@ class TestVertices:
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "vertices", "--set", "{(1,")
         assert code == 2 and "error" in err
+
+    def test_large_set_within_budget(self):
+        # 190 points in convex position on sum(x) = c in arity 4, translated
+        # to coordinates near 10^12, plus 10 integral midpoints of pairs of
+        # them: the vertex set is the 190 points.  On a 2-CPU machine this takes
+        # 0.9-1.5 s; with Bland's rule alone and each point tested against
+        # all the others it takes 7.1-11.0 s
+        budget = 2.2
+        surface, pts = convex_position_set(random.Random(7), 4, 190, 16, 10**9, midpoints=10)
+
+        def text(points):
+            return "{" + ",".join("(" + ",".join(str(10**12 + x) for x in p) + ")"
+                                  for p in points) + "}"
+
+        t0 = time.perf_counter()
+        proc = run_process("vertices", "--set", text(pts), timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, text(sorted(surface)) + "\n", "")
+        assert elapsed < budget, f"{elapsed:.2f}s exceeds the budget of {budget}s"
 
 
 class TestTrop:

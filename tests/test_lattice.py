@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tropdiff import ArityError, as_point, member_newton, minimal_elements, vertices_of_finite
 
-from gen import rand_point, rand_points
+from gen import convex_position_set, rand_point, rand_points
 from oracles import (
     grid_box,
     member_2d,
@@ -69,18 +69,28 @@ class TestMemberNewton:
     def test_against_fraction_simplex_large_coordinates(self):
         # points near the hyperplane sum(x) = 10^6 and targets near a convex
         # combination of them: most cases reach the LP, with large pivots
-        # and minors, and both verdicts occur
+        # and minors, and both verdicts occur.  In the last 150 cases the
+        # points lie on sum(x) = 3, scaled by a multiple of the weights'
+        # total, and the target is an exact combination of 2..m+1 of them:
+        # ratios tie, and degenerate pivots hand over to Bland's rule
         rng = random.Random(2024)
         seen = {True: 0, False: 0}
-        for _ in range(300):
+        for case in range(450):
+            exact = case >= 300
             m = rng.randint(1, 5)
-            pts = [near_simplex(rng, m, 10**6) for _ in range(rng.randint(1, 25))]
-            picks = rng.sample(pts, min(len(pts), rng.randint(2, m + 1)))
-            weights = [rng.randint(1, 1000) for _ in picks]
+            c = 3 if exact else 10**6
+            pts = [near_simplex(rng, m, c) for _ in range(rng.randint(1, 25))]
+            at = rng.sample(range(len(pts)), min(len(pts), rng.randint(2, m + 1)))
+            weights = [rng.randint(1, 1000) for _ in at]
             total = sum(weights)
+            if exact:
+                scale = total * (10**6 // (c * total))
+                pts = [tuple(scale * x for x in q) for q in pts]
+            picks = [pts[i] for i in at]
+            noise = 0 if exact else 10**4
             p = tuple(
                 max(0, sum(w * q[k] for w, q in zip(weights, picks)) // total
-                    + rng.randint(-10**4, 10**4))
+                    + rng.randint(-noise, noise))
                 for k in range(m)
             )
             got = member_newton(p, pts)
@@ -107,6 +117,20 @@ class TestVerticesOfFinite:
         for _ in range(100):
             pts = rand_points(rng, 2, 7, 6)
             assert vertices_of_finite(pts) == vertices_by_definition(pts, member_2d)
+
+    def test_definition_replay_m3_to_m5_large_coordinates(self):
+        # staircase sets like the benchmark's: points in convex position on
+        # sum(x) = c (the vertices), integral midpoints of pairs of them and
+        # points dominating one of them, shuffled, coordinates up to 10^6.
+        # Equal ratios abound, so degenerate pivots hand over to Bland's rule
+        rng = random.Random(1977)
+        for m, count, side, scale in [(3, 12, 12, 3000), (4, 12, 5, 20000),
+                                      (5, 10, 3, 40000)] * 4:
+            surface, pts = convex_position_set(rng, m, count, side, scale,
+                                               midpoints=8, dominated=4)
+            got = vertices_of_finite(pts)
+            assert got == tuple(sorted(surface))
+            assert got == vertices_by_definition(pts, member_newton_fraction)
 
 
 class TestStaircaseHull:
@@ -166,12 +190,16 @@ class TestInvariants:
             assert staircase_hull_2d(pts) == vertices_of_finite(pts)
 
     def test_minimal_elements_antichain(self):
+        # an antichain of exactly the points with no other point below them,
+        # and every input point lies above one of them
+        def below(a, b):
+            return a != b and all(x <= y for x, y in zip(a, b))
+
         rng = random.Random(3)
-        for _ in range(100):
-            m = rng.choice([1, 2, 3])
-            pts = rand_points(rng, m, 5, 6)
+        for _ in range(200):
+            m = rng.randint(1, 5)
+            pts = rand_points(rng, m, 5, 12)
             mins = minimal_elements(pts)
-            assert all(
-                not (a != b and all(x <= y for x, y in zip(a, b)))
-                for a in mins for b in mins
-            )
+            assert not any(below(a, b) for a in mins for b in mins)
+            assert set(mins) == {p for p in pts if not any(below(q, p) for q in pts)}
+            assert all(any(a == p or below(a, p) for a in mins) for p in pts)
