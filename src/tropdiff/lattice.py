@@ -7,13 +7,16 @@ are nonnegative rationals lambda_c summing to 1 with
 
     sum_c lambda_c * c  <=  p   componentwise.
 
-The LP runs a fraction-free simplex on an integer tableau (Bareiss-style
-pivoting over the previous pivot), entering the most negative reduced cost
-(Dantzig) until its first degenerate pivot and by Bland's rule after it, so
-it terminates; there are no floats and no tolerances anywhere.  The vertex
-set of C consists of the points of C that do not lie in the Newton polygon
-of the remaining points; it is always an antichain under the componentwise
-order and spans the same Newton polygon as C.
+One routine, `_phase1_feasible`, decides it for both `member_newton` and
+the vertex set.  It answers no at once when some coordinate of p lies below
+that coordinate of every point of C.  Otherwise it runs a fraction-free
+simplex on an integer tableau (Bareiss-style pivoting over the previous
+pivot), entering the most negative reduced cost (Dantzig) until its first
+degenerate pivot and by Bland's rule after it, so it terminates; with C
+empty it stops before any pivot.  There are no floats and no tolerances
+anywhere.  The vertex set of C consists of the points of C that do not lie
+in the Newton polygon of the remaining points; it is always an antichain
+under the componentwise order and spans the same Newton polygon as C.
 """
 
 from __future__ import annotations
@@ -81,9 +84,14 @@ def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
     """Exact phase-1 simplex, fraction-free, with Dantzig then Bland pricing.
 
     Decides feasibility of { lambda >= 0, sum lambda = 1,
-    sum_j lambda_j cols[j] + v = target, v >= 0 }.  The m slack rows start
-    basic; a single artificial variable covers the convexity row, and the
-    system is feasible iff the artificial can be driven to zero.
+    sum_j lambda_j cols[j] + v = target, v >= 0 }, that is, target in the
+    Newton polygon of `cols`; it is the one membership test of this module.
+    A target coordinate below that coordinate of every column makes the
+    system infeasible, which is checked before any pivot.  The m slack rows
+    start basic; a single artificial variable covers the convexity row, and
+    the system is feasible iff the artificial can be driven to zero.  With
+    no columns, every reduced cost is nonnegative at once, so the system is
+    infeasible: the empty set has an empty Newton polygon.
 
     The entering column has the most negative reduced cost (lowest index on
     ties) while the objective strictly falls, so no basis repeats; from the
@@ -94,6 +102,8 @@ def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
     minor of the initial tableau, so each update divides exactly, and
     `det` stays positive, so stored signs are the true signs.
     """
+    if any(map(operator.lt, target, map(min, zip(*cols)))):
+        return False
     m = len(target)
     n = len(cols)
     width = n + m + 1  # lambdas, slacks, artificial; rhs sits at index `width`
@@ -146,21 +156,12 @@ def _phase1_feasible(cols: tuple[Point, ...], target: Point) -> bool:
 def member_newton(p: Iterable[int], points: Iterable[Iterable[int]]) -> bool:
     """Exact test for p in N(points), the Newton polygon of a finite set.
 
-    The empty set has an empty Newton polygon.  Dominance (some c <= p) is
-    checked first; the general case runs the exact fraction-free LP.
+    Validates both arguments, then runs the exact fraction-free LP, which
+    decides every case alone: a dominated p is feasible, and the empty set,
+    whose Newton polygon is empty, is infeasible.
     """
     pts = canon(points)
-    if not pts:
-        as_point(p)
-        return False
-    q = as_point(p, len(pts[0]))
-    if any(leq(c, q) for c in pts):
-        return True
-    m = len(q)
-    for k in range(m):
-        if q[k] < min(c[k] for c in pts):
-            return False
-    return _phase1_feasible(pts, q)
+    return _phase1_feasible(pts, as_point(p, len(pts[0]) if pts else None))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -168,11 +169,14 @@ def _vertices_cached(points: tuple[Point, ...]) -> tuple[Point, ...]:
     """Vertex set of canonical points (as `canon` returns them), in their order.
 
     Each minimal point meets only the points not yet found to be non-vertices:
-    dropping one leaves N(points), and so its vertices, unchanged.
+    dropping one leaves N(points), and so its vertices, unchanged.  Those
+    points form a sub-tuple of the canonical antichain `_minimal` returns, so
+    they go straight to the LP: validating them again would find nothing,
+    and no dominance check could answer early, since none lies below x.
     """
     keep = list(_minimal(points))
     for x in tuple(keep):
-        if member_newton(x, tuple(y for y in keep if y != x)):
+        if _phase1_feasible(tuple(y for y in keep if y != x), x):
             keep.remove(x)
     return tuple(keep)
 

@@ -30,7 +30,9 @@ Grammar (whitespace insignificant, numbers exact, no floats):
         tmono   := xvar { '*' xvar }
 
 Printing is canonical: terms appear in lexicographic order, so equal values
-print identically and `parse(print(v)) == v`.
+print identically and `parse(print(v)) == v` for exact series and every
+other value.  A truncated series prints a trailing `+ O(N)`, which the
+grammar above does not read.
 """
 
 from __future__ import annotations

@@ -168,18 +168,34 @@ def test_val_is_called_only_by_the_valuation_routes():
     assert _package_owners(is_val_call) == VAL_CALLERS
 
 
+def _calls(name):
+    """A matcher for calls of `name`, bare or as an attribute."""
+    def is_call(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Name) and func.id == name
+                or isinstance(func, ast.Attribute) and func.attr == name)
+
+    return is_call
+
+
 # The vertex routine has one entry per use: the public function and the
 # vertex-set normal form; values that are vertex sets already skip it.
 VERTEX_ROUTINE_CALLERS = ["lattice.py:vertices_of_finite", "tropical.py:VertexSet._normal"]
 
 
 def test_vertex_routine_is_called_only_by_the_normal_forms():
-    def is_routine_call(node):
-        func = node.func if isinstance(node, ast.Call) else None
-        return (isinstance(func, ast.Name) and func.id == "_vertices_cached"
-                or isinstance(func, ast.Attribute) and func.attr == "_vertices_cached")
+    assert _package_owners(_calls("_vertices_cached")) == VERTEX_ROUTINE_CALLERS
 
-    assert _package_owners(is_routine_call) == VERTEX_ROUTINE_CALLERS
+
+# Newton-polygon membership has one exact core: the public test and the
+# vertex routine call it directly, and no module of the package goes back
+# through the validating `member_newton`.
+MEMBERSHIP_CORE_CALLERS = ["lattice.py:member_newton", "lattice.py:_vertices_cached"]
+
+
+def test_membership_core_is_called_only_by_its_two_users():
+    assert _package_owners(_calls("_phase1_feasible")) == MEMBERSHIP_CORE_CALLERS
+    assert _package_owners(_calls("member_newton")) == []
 
 
 # Outside input enters through textio.py and cli.py, so it must go through

@@ -97,6 +97,29 @@ class TestMemberNewton:
             assert got == member_newton_fraction(p, pts), (p, pts)
             seen[got] += 1
         assert min(seen.values()) >= 75, seen
+        # the cases a shortcut once answered before the LP: queries that
+        # dominate a column (the LP decides them), queries below every
+        # column in one coordinate (the LP's coordinate test), and the empty
+        # set and single columns
+        for case in range(150):
+            m = rng.randint(1, 5)
+            kind = case % 3
+            size = rng.randint(1, 25) if kind < 2 else case % 2
+            pts = [near_simplex(rng, m, 10**6) for _ in range(size)]
+            if kind == 0:
+                p = tuple(x + rng.randint(0, 10**4) for x in rng.choice(pts))
+            elif kind == 1:  # above every column but in coordinate k, or anywhere
+                p = list(near_simplex(rng, m, 10**6)) if case % 2 else list(map(max, zip(*pts)))
+                k = rng.randrange(m)
+                p[k] = rng.randint(0, min(q[k] for q in pts) - 1)
+            else:
+                base = pts[0] if pts else near_simplex(rng, m, 10**6)
+                p = tuple(max(0, x + rng.randint(-10**4, 10**4)) for x in base)
+            got = member_newton(p, pts)
+            assert got == member_newton_fraction(p, pts), (p, pts)
+            # each kind is built as meant: N(pts) holds p iff p dominates
+            dominated = any(all(a <= b for a, b in zip(q, p)) for q in pts)
+            assert got is (kind != 1 and dominated), (p, pts)
 
 
 class TestVerticesOfFinite:
