@@ -30,32 +30,6 @@ from .lattice import Point, _minimal, add, as_point, canon, leq
 from .tropical import VertexSet
 
 
-def _orthant_contained(p: Point, explicit: frozenset[Point], cones: tuple[Point, ...]) -> bool:
-    """Exact decision of (p + Z^m_>=0) subset-of (explicit + cones).
-
-    Walks upward from p through the points no cone covers.  A point a cone
-    covers has its whole orthant in the set, so it is not expanded; any
-    other point must be explicit, and its neighbours q + e_k are visited in
-    turn.  A point outside the set is reached by a monotone path from p
-    that no cone covers, so the walk finds it.  It visits at most about
-    |explicit|*(m+1) points, whatever the size of the coordinates.
-    """
-    stack = [p]
-    seen = {p}
-    while stack:
-        q = stack.pop()
-        if any(leq(g, q) for g in cones):
-            continue
-        if q not in explicit:
-            return False
-        for k in range(len(q)):
-            r = q[:k] + (q[k] + 1,) + q[k + 1:]
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return True
-
-
 def _normalize(
     arity: int, explicit: Iterable[Point], cones: Iterable[Point]
 ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
@@ -64,12 +38,24 @@ def _normalize(
         p for p in canon(explicit, arity) if not any(leq(g, p) for g in gens)
     )
     if gens and expl:
-        frozen = frozenset(expl)
-        promoted = tuple(p for p in expl if _orthant_contained(p, frozen, gens))
+        # full[p]: p + Z^m_>=0 lies in the set.  It does exactly when every
+        # p + e_k lies under a cone or is an explicit point whose own orthant
+        # does.  p + e_k sorts after p, so a pass down the sorted points has
+        # decided every explicit neighbour before p needs it: at most
+        # m*|expl|*|gens| comparisons, whatever the size of the coordinates.
+        full: dict[Point, bool] = {}
+        for p in reversed(expl):
+            full[p] = all(
+                full.get(r) or any(leq(g, r) for g in gens)
+                for r in (p[:k] + (p[k] + 1,) + p[k + 1:] for k in range(arity))
+            )
+        promoted = tuple(p for p in expl if full[p])
         if promoted:
-            # both are checked already: sort them without validating again
+            # both are checked already: sort them without validating again.
+            # A point above a promoted one is full itself, so the points
+            # that stay explicit are exactly those that are not full.
             gens = _minimal(tuple(sorted(gens + promoted)))
-            expl = tuple(p for p in expl if not any(leq(g, p) for g in gens))
+            expl = tuple(p for p in expl if not full[p])
     return expl, gens
 
 

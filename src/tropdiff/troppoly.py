@@ -84,7 +84,7 @@ def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
     """Evaluate a tropical monomial: product of Val_J(S_i) tropical powers.
 
     An empty factor annihilates the whole product; the constant monomial
-    evaluates to the origin singleton.
+    evaluates to the origin singleton.  Every support must have the arity.
     """
     if arity is None:
         if not supports:
@@ -92,6 +92,8 @@ def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
         arity = supports[0].arity
     elif arity < 1:
         raise ArityError(f"arity must be >= 1, got {arity}")
+    if any(s.arity != arity for s in supports):
+        raise ArityError("support arity differs from polynomial arity")
     vals = {}
     for key, _ in mono.exponents:
         if not 1 <= key.var <= len(supports):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from tropdiff import cli
+from tropdiff import SupportSet, cli
 from tropdiff.cli import main
 
 from gen import convex_position_set
@@ -84,6 +84,23 @@ class TestVertices:
         elapsed = time.perf_counter() - t0
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, text(sorted(surface)) + "\n", "")
         assert elapsed < budget, f"{elapsed:.2f}s exceeds the budget of {budget}s"
+
+    def test_long_row_under_a_cone_within_budget(self):
+        # 4000 explicit points on the first axis under the cone (0,1); with
+        # (4000,0) as a second cone every point's orthant lies in the set.
+        # A fresh upward walk from each point took 32-42 s on a 2-CPU machine
+        budget = 2.2
+        row = [(i, 0) for i in range(4000)]
+        kept = SupportSet(2, row, [(0, 1)])
+        assert kept.explicit == tuple(row) and kept.cones == ((0, 1),)
+        assert SupportSet(2, row, [(0, 1), (4000, 0)]) == SupportSet(2, (), [(0, 0)])
+        points = "{" + ",".join(f"({i},0)" for i in range(4000)) + "}"
+        for cones in ("cone{(0,1)}", "cone{(0,1),(4000,0)}"):
+            t0 = time.perf_counter()
+            proc = run_process("vertices", "--set", f"{points} + {cones}", timeout=60)
+            elapsed = time.perf_counter() - t0
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{(0,0)}\n", "")
+            assert elapsed < budget, f"{cones}: {elapsed:.2f}s exceeds the budget of {budget}s"
 
 
 class TestTrop:

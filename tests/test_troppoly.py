@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tropdiff import (
+    ArityError,
     CandidateCapError,
     DiffMonomial,
     DiffPolynomial,
@@ -87,6 +88,16 @@ class TestEvalMonomial:
     def test_annihilated(self):
         eps = DiffMonomial.variable(1, (5, 5)) * DiffMonomial.variable(1, (0, 0))
         assert eval_monomial(eps, (S1,)).is_empty
+        # an annihilated product still checks every support's arity first
+        x = DiffMonomial.variable(1, (0, 0))
+        for supports, arity in [
+            ((SupportSet.empty(2),), 3),
+            ((S1,), 3),
+            ((SupportSet.empty(2), SupportSet.empty(3)), 3),
+            ((SupportSet.empty(2), SupportSet.empty(3)), None),
+        ]:
+            with pytest.raises(ArityError, match="support arity differs"):
+                eval_monomial(x, supports, arity=arity)
 
     def test_routes_agree(self):
         rng = random.Random(31)
