@@ -7,6 +7,10 @@ every CLI call would pay.  A value equals only a value of its class with equal
 fields, and hashes as the tuple of its fields.  `len`, iteration, `in`,
 indexing, ordering and tuple concatenation or repetition raise `TypeError`,
 unless its class defines them.
+
+`V._trusted(*fields)` is the one trusted constructor: it builds a `V` from
+fields as `V.__new__` would leave them, without the checks, so each class
+states what a field must already be in its docstring or its `_normal`'s.
 """
 
 
@@ -31,6 +35,10 @@ class Value:
         return not self.__eq__(other)
 
     __hash__ = tuple.__hash__
+
+    @classmethod
+    def _trusted(cls, *fields):
+        return tuple.__new__(cls, fields)
 
     def __reduce__(self):
         # pickle and copy rebuild the value through its validating __new__

@@ -72,17 +72,9 @@ def _emit(args, text: str, payload) -> None:
 
 
 def cmd_vertices(args) -> int:
-    arity = args.arity
-    if arity is None:
-        stripped = args.set.replace(" ", "")
-        if "(" not in stripped:
-            arity = 1  # empty set: any arity prints the same way
-        else:
-            inner = stripped.split("(", 1)[1].split(")", 1)[0]
-            arity = inner.count(",") + 1
-    ctx = ParseContext(arity=arity)
-    s = parse_support(args.set, ctx)
-    v = s.vertices()
+    # without -m, the first point of the set fixes the arity
+    ctx = None if args.arity is None else ParseContext(arity=args.arity)
+    v = parse_support(args.set, ctx).vertices()
     _emit(args, print_vertex_set(v), lambda: {"vertices": vertex_set_to_json(v)})
     return 0
 
@@ -178,14 +170,23 @@ def cmd_examples(args) -> int:
 # ------------------------------------------------------------------ wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_common(p: argparse.ArgumentParser, system: bool = False) -> None:
+    """-m, -n, --sqrt and --format; with `system`, the required --system | --poly choice."""
     p.add_argument("--arity", "-m", type=int, required=True,
                    help="number of series variables t1..tm")
     p.add_argument("--nvars", "-n", type=int, default=1,
                    help="number of differential variables x1..xn")
     p.add_argument("--sqrt", type=int, default=None, metavar="D",
                    help="adjoin sqrt(D) to the rational coefficient field")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_format(p)
+    if system:
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--system", help="file with one polynomial per line")
+        g.add_argument("--poly", action="append", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vertices", help="vertex set of a support set")
     p.add_argument("--set", required=True, help="support set, e.g. '{(1,4),(2,3)}'")
     p.add_argument("--arity", "-m", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_format(p)
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("trop", help="tropicalize a differential polynomial")
@@ -221,31 +222,26 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--series")
     p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("check", help="tropical solution check for a support tuple")
-    _add_common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--system", help="file with one polynomial per line")
-    g.add_argument("--poly", action="append", default=None)
-    p.add_argument("--supports", required=True,
-                   help="semicolon-separated support sets, one per variable")
-    p.add_argument("--derive-bound", type=int, default=0,
-                   help="tropicalize all theta(I)P with ||I||_inf <= this bound")
-    p.set_defaults(func=cmd_check)
+    check = sub.add_parser("check", help="tropical solution check for a support tuple")
+    _add_common(check, system=True)
+    check.add_argument("--supports", required=True,
+                       help="semicolon-separated support sets, one per variable")
+    check.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("enumerate", help="search explicit supports inside a box")
-    _add_common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--system")
-    g.add_argument("--poly", action="append", default=None)
-    p.add_argument("--box", required=True, help="componentwise bound, e.g. '(5)' or '2,2'")
-    p.add_argument("--max-points", type=int, default=None)
-    p.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP,
-                   help="refusal cap (default: %(default)s)")
-    p.add_argument("--derive-bound", type=int, default=0)
-    p.set_defaults(func=cmd_enumerate)
+    enum = sub.add_parser("enumerate", help="search explicit supports inside a box")
+    _add_common(enum, system=True)
+    enum.add_argument("--box", required=True, help="componentwise bound, e.g. '(5)' or '2,2'")
+    enum.add_argument("--max-points", type=int, default=None)
+    enum.add_argument("--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP,
+                      help="refusal cap (default: %(default)s)")
+    enum.set_defaults(func=cmd_enumerate)
+
+    for p in (check, enum):  # the last option of both
+        p.add_argument("--derive-bound", type=int, default=0,
+                       help="tropicalize all theta(I)P with ||I||_inf <= this bound")
 
     p = sub.add_parser("examples", help="replay the bundled worked examples")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_format(p)
     p.set_defaults(func=cmd_examples)
 
     return ap

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ._value import Value
 from .errors import ArityError, FieldError, PrecisionError, SampleCapError
 from .field import RATIONALS, FieldElement, FieldSpec
-from .lattice import Point, as_point
+from .lattice import Point, as_count, as_point
 from .series import PowerSeries
 
 
@@ -59,7 +59,10 @@ class DerivativeKey(tuple):
 
 
 class DiffMonomial(Value, namedtuple("DiffMonomial", "exponents")):
-    """Sparse product of derivative variables: map key -> positive exponent."""
+    """Sparse product of derivative variables: map key -> positive exponent.
+
+    `_trusted(exponents)` takes distinct sorted keys with positive int exponents.
+    """
 
     __slots__ = ()
 
@@ -73,12 +76,7 @@ class DiffMonomial(Value, namedtuple("DiffMonomial", "exponents")):
         for key, e in acc.items():
             if e < 0:
                 raise ValueError(f"negative exponent on {key}")
-        return tuple.__new__(cls, (tuple((k, e) for k, e in sorted(acc.items()) if e > 0),))
-
-    @classmethod
-    def _trusted(cls, exponents: tuple[tuple[DerivativeKey, int], ...]) -> "DiffMonomial":
-        """A monomial from distinct sorted keys with positive int exponents."""
-        return tuple.__new__(cls, (exponents,))
+        return cls._trusted(tuple((k, e) for k, e in sorted(acc.items()) if e > 0))
 
     @classmethod
     def one(cls) -> "DiffMonomial":
@@ -114,8 +112,7 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
 
     def __new__(cls, arity: int, nvars: int, field: FieldSpec = RATIONALS,
                 terms: Iterable[tuple[DiffMonomial, PowerSeries]] = ()) -> "DiffPolynomial":
-        if nvars < 1:
-            raise ArityError(f"nvars must be >= 1, got {nvars}")
+        arity, nvars = as_count(arity), as_count(nvars, "nvars")
         groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
         for mono, coef in terms:
             mono._check_keys(arity, nvars)
@@ -144,7 +141,7 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
                 coef = PowerSeries._normal(arity, field, parts)
             if coef.terms:
                 terms.append((DiffMonomial._trusted(exponents), coef))
-        return tuple.__new__(cls, (arity, nvars, field, tuple(terms)))
+        return cls._trusted(arity, nvars, field, tuple(terms))
 
     @property
     def is_zero(self) -> bool:

@@ -43,7 +43,7 @@ class FieldSpec(Value, namedtuple("FieldSpec", "d")):
             if n < 2 or math.isqrt(n) ** 2 == n:
                 raise FieldError(f"d must be a nonsquare integer >= 2, got {d!r}")
             d = n
-        return tuple.__new__(cls, (d,))
+        return cls._trusted(d)
 
     def __call__(self, a: RationalLike = 0, b: RationalLike = 0) -> "FieldElement":
         return FieldElement(self, a, b)
@@ -81,7 +81,10 @@ def _rational(x: RationalLike) -> Fraction:
 
 
 class FieldElement(Value, namedtuple("FieldElement", "field a b")):
-    """a + b*sqrt(d) with exact rational a, b; b = 0 over the plain rationals."""
+    """a + b*sqrt(d) with exact rational a, b; b = 0 over the plain rationals.
+
+    `_trusted(field, a, b)` takes `Fraction` parts that fit `field`.
+    """
 
     __slots__ = ()
 
@@ -93,12 +96,7 @@ class FieldElement(Value, namedtuple("FieldElement", "field a b")):
             b = _rational(b)
         if field.d is None and b != 0:
             raise FieldError("irrational part in a plain rational field element")
-        return tuple.__new__(cls, (field, a, b))
-
-    @classmethod
-    def _trusted(cls, field: FieldSpec, a: Fraction, b: Fraction) -> "FieldElement":
-        """a + b*sqrt(d) from Fraction parts that fit `field`, without the checks."""
-        return tuple.__new__(cls, (field, a, b))
+        return cls._trusted(field, a, b)
 
     def _scaled(self, n: int) -> "FieldElement":
         """self * n for a Python int n, without coercing n into the field."""

@@ -30,6 +30,17 @@ from .errors import ArityError
 Point = tuple[int, ...]
 
 
+def as_count(n: int, name: str = "arity") -> int:
+    """Validate a dimension: the arity m of Z^m_>=0 or the variable count n, an int >= 1."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise ArityError(f"non-integer {name} {n!r}") from None
+    if k < 1:
+        raise ArityError(f"{name} must be >= 1, got {k}")
+    return k
+
+
 def as_point(coords: Iterable[int], arity: int | None = None) -> Point:
     """Validate and freeze a lattice point (nonnegative integer coordinates)."""
     try:

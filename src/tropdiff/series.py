@@ -20,7 +20,7 @@ from typing import Iterable
 from ._value import Value
 from .errors import ArityError, FieldError, PrecisionError
 from .field import RATIONALS, FieldElement, FieldSpec, power
-from .lattice import Point, as_point
+from .lattice import Point, as_count, as_point
 from .supports import SupportSet
 from .tropical import VertexSet
 
@@ -34,29 +34,23 @@ def factorial_of(p: Point) -> int:
 
 
 class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision")):
-    """Exponent-to-coefficient terms; `precision` None: exact, N: degrees < N authoritative."""
+    """Exponent-to-coefficient terms; `precision` None: exact, N: degrees < N authoritative.
+
+    `_trusted(arity, field, terms, precision)` takes terms as `__new__` leaves
+    them: valid points of `arity`, distinct, sorted and of total degree below
+    `precision`, with nonzero coefficients in `field`.
+    """
 
     __slots__ = ()
 
     def __new__(cls, arity: int, field: FieldSpec = RATIONALS,
                 terms: Iterable[tuple[Iterable[int], FieldElement | int]] = (),
                 precision: int | None = None) -> "PowerSeries":
-        if arity < 1:
-            raise ArityError(f"arity must be >= 1, got {arity}")
+        arity = as_count(arity)
         if precision is not None and precision < 0:
             raise PrecisionError(f"negative precision {precision}")
         checked = tuple((as_point(exp, arity), field.coerce(c)) for exp, c in terms)
         return cls._normal(arity, field, ((checked, precision),))
-
-    @classmethod
-    def _trusted(cls, arity: int, field: FieldSpec, terms: tuple[tuple[Point, FieldElement], ...],
-                 precision: int | None) -> "PowerSeries":
-        """A series from terms as `__new__` leaves them, without the checks.
-
-        The points must be valid, of `arity`, distinct, sorted and of total
-        degree below `precision`; the coefficients nonzero elements of `field`.
-        """
-        return tuple.__new__(cls, (arity, field, terms, precision))
 
     @classmethod
     def _normal(cls, arity: int, field: FieldSpec,

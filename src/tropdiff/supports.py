@@ -26,7 +26,7 @@ from typing import Iterable
 from ._value import Value
 from .errors import ArityError
 from .field import power
-from .lattice import Point, _minimal, add, as_point, canon, leq
+from .lattice import Point, _minimal, add, as_count, as_point, canon, leq
 from .tropical import VertexSet
 
 
@@ -60,21 +60,17 @@ def _normalize(
 
 
 class SupportSet(Value, namedtuple("SupportSet", "arity explicit cones")):
-    """A normalized staircase subset of the lattice Z^arity_>=0."""
+    """A normalized staircase subset of the lattice Z^arity_>=0.
+
+    `_trusted(arity, explicit, cones)` takes parts as `__new__` leaves them.
+    """
 
     __slots__ = ()
 
     def __new__(cls, arity: int, explicit: Iterable[Iterable[int]] = (),
                 cones: Iterable[Iterable[int]] = ()) -> "SupportSet":
-        if arity < 1:
-            raise ArityError(f"arity must be >= 1, got {arity}")
-        return tuple.__new__(cls, (arity, *_normalize(arity, explicit, cones)))
-
-    @classmethod
-    def _trusted(cls, arity: int, explicit: tuple[Point, ...],
-                 cones: tuple[Point, ...] = ()) -> "SupportSet":
-        """A support set from parts as `__new__` leaves them, without the checks."""
-        return tuple.__new__(cls, (arity, explicit, cones))
+        arity = as_count(arity)
+        return cls._trusted(arity, *_normalize(arity, explicit, cones))
 
     @classmethod
     def empty(cls, arity: int) -> "SupportSet":

@@ -44,9 +44,9 @@ from typing import Callable, Iterable, TypeVar
 
 from ._value import Value
 from .diffpoly import DiffMonomial, DiffPolynomial
-from .errors import ArityError, FieldError, ParseError
+from .errors import FieldError, ParseError
 from .field import RATIONALS, FieldElement, FieldSpec, power
-from .lattice import Point
+from .lattice import Point, as_count
 from .series import PowerSeries
 from .supports import SupportSet
 from .troppoly import SolutionReport, TropMonomial, TropPolynomial
@@ -61,9 +61,7 @@ class ParseContext(Value, namedtuple("ParseContext", "arity nvars field")):
     __slots__ = ()
 
     def __new__(cls, arity: int, nvars: int = 1, field: FieldSpec = RATIONALS):
-        if arity < 1 or nvars < 1:
-            raise ArityError("arity and nvars must be >= 1")
-        return tuple.__new__(cls, (arity, nvars, field))
+        return tuple.__new__(cls, (as_count(arity), as_count(nvars, "nvars"), field))
 
 
 # ------------------------------------------------------------------ tokenizer
@@ -98,9 +96,10 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: ParseContext):
+    def __init__(self, text: str, ctx: ParseContext | None):
         self.text = text
         self.ctx = ctx
+        self.arity = ctx and ctx.arity
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -149,16 +148,18 @@ class _Parser:
     def parse_coords(self, what: str, delims: str, pos: int) -> Point:
         """`int {',' int}` of arity m, between the two symbols of `delims` if any.
 
-        An arity error names `what` and points at `pos`.
+        An arity error names `what` and points at `pos`.  With the arity still
+        open, the coordinates fix it.
         """
         if delims:
             self.expect_sym(delims[0])
         coords = self.parse_list(self.expect_int, ",")
         if delims:
             self.expect_sym(delims[1])
-        if len(coords) != self.ctx.arity:
+        self.arity = self.arity or len(coords)
+        if len(coords) != self.arity:
             raise ParseError(
-                f"{what} of arity {len(coords)}, expected {self.ctx.arity}",
+                f"{what} of arity {len(coords)}, expected {self.arity}",
                 self.text, pos,
             )
         return tuple(coords)
@@ -184,11 +185,12 @@ class _Parser:
         if self.peek()[1] != "cone":
             explicit = self.parse_point_set()
             if not self.match_sym("+"):
-                return SupportSet(self.ctx.arity, explicit)
+                return SupportSet(self.arity or 1, explicit)
             if self.peek()[1] != "cone":
                 raise ParseError("expected 'cone'", self.text, self.peek()[2])
         self.advance()
-        return SupportSet(self.ctx.arity, explicit, self.parse_point_set())
+        cones = self.parse_point_set()  # read before the arity it may fix
+        return SupportSet(self.arity or 1, explicit, cones)
 
     def parse_tuple(self, what: str, item: Callable[[], _T]) -> list[_T]:
         """`item {';' item}` up to the end, one item per variable."""
@@ -264,10 +266,10 @@ class _Parser:
         return poly
 
     def _term(self, coef: PowerSeries, mono: DiffMonomial = DiffMonomial.one()) -> DiffPolynomial:
-        return DiffPolynomial(self.ctx.arity, self.ctx.nvars, self.ctx.field, ((mono, coef),))
+        return DiffPolynomial(self.arity, self.ctx.nvars, self.ctx.field, ((mono, coef),))
 
     def _const_poly(self, c: FieldElement) -> DiffPolynomial:
-        return self._term(PowerSeries.constant(self.ctx.arity, c, self.ctx.field))
+        return self._term(PowerSeries.constant(self.arity, c, self.ctx.field))
 
     def parse_atom(self, allow_x: bool) -> DiffPolynomial:
         kind, val, pos = self.peek()
@@ -295,12 +297,12 @@ class _Parser:
                     return self._const_poly(self.ctx.field.sqrt_d())
                 except FieldError as exc:
                     raise ParseError(str(exc), self.text, pos) from exc
-            k = self.match_numbered("t", self.ctx.arity)
+            k = self.match_numbered("t", self.arity)
             if k is not None:
-                return self._term(PowerSeries.variable(self.ctx.arity, k, self.ctx.field))
+                return self._term(PowerSeries.variable(self.arity, k, self.ctx.field))
             var = self.match_derivative_var(allow_x)
             if var is not None:
-                one = PowerSeries.one(self.ctx.arity, self.ctx.field)
+                one = PowerSeries.one(self.arity, self.ctx.field)
                 return self._term(one, DiffMonomial.variable(*var))
             raise ParseError(f"unknown name {val!r}", self.text, pos)
         raise ParseError("expected a term", self.text, pos)
@@ -311,16 +313,16 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "int" and val == "0":
             self.advance()
-            return TropPolynomial.zero(self.ctx.arity, self.ctx.nvars)
+            return TropPolynomial.zero(self.arity, self.ctx.nvars)
         terms = self.parse_list(self.parse_trop_term, "+")
-        return TropPolynomial(self.ctx.arity, self.ctx.nvars, tuple(terms))
+        return TropPolynomial(self.arity, self.ctx.nvars, tuple(terms))
 
     def parse_trop_term(self) -> tuple[TropMonomial, VertexSet]:
         _, _, pos = self.peek()
         pts = self.parse_point_set()
         if not pts:
             raise ParseError("tropical coefficients must be nonempty", self.text, pos)
-        coef = VertexSet(self.ctx.arity, pts)
+        coef = VertexSet(self.arity, pts)
         mono = DiffMonomial.one()
         while self.match_sym("*"):
             mono = mono * self.parse_trop_var()
@@ -342,7 +344,7 @@ class _Parser:
 # ------------------------------------------------------------------ entry points
 
 
-def _parse(text: str, ctx: ParseContext, rule: Callable[[_Parser], _T]) -> _T:
+def _parse(text: str, ctx: ParseContext | None, rule: Callable[[_Parser], _T]) -> _T:
     """Read all of `text` by one grammar rule."""
     p = _Parser(text, ctx)
     out = rule(p)
@@ -355,7 +357,11 @@ def parse_point(text: str, ctx: ParseContext) -> Point:
     return _parse(text, ctx, _Parser.parse_index)
 
 
-def parse_support(text: str, ctx: ParseContext) -> SupportSet:
+def parse_support(text: str, ctx: ParseContext | None = None) -> SupportSet:
+    """A support set; without a context its first point fixes the arity.
+
+    A set with no point then has arity 1.
+    """
     return _parse(text, ctx, _Parser.parse_support)
 
 

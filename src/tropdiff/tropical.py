@@ -16,32 +16,27 @@ from typing import Iterable, Iterator
 
 from ._value import Value
 from .errors import ArityError
-from .lattice import Point, _vertices_cached, add, as_point, canon
+from .lattice import Point, _vertices_cached, add, as_count, as_point, canon
 
 
 class VertexSet(Value, namedtuple("VertexSet", "arity points")):
     """A finite antichain of lattice points, fixed by the vertex operator.
 
-    `__new__` validates, `_normal` computes the vertex set, `_trusted` keeps
-    points that are one already.  Iteration, `len`, `in` and truth read them.
+    `__new__` validates, `_normal` computes the vertex set, and
+    `_trusted(arity, points)` keeps points that are one already: canonical,
+    of `arity`.  Iteration, `len`, `in` and truth read them.
     """
 
     __slots__ = ()
 
     def __new__(cls, arity: int, points: Iterable[Iterable[int]] = ()) -> "VertexSet":
-        if arity < 1:
-            raise ArityError(f"arity must be >= 1, got {arity}")
+        arity = as_count(arity)
         return cls._normal(arity, canon(points, arity))
 
     @classmethod
     def _normal(cls, arity: int, points: Iterable[Point]) -> "VertexSet":
         """Vertex set of valid points of `arity`, in any order, repeats allowed."""
         return cls._trusted(arity, _vertices_cached(tuple(sorted(set(points)))))
-
-    @classmethod
-    def _trusted(cls, arity: int, points: tuple[Point, ...]) -> "VertexSet":
-        """A vertex set from points that already are one: canonical, of `arity`."""
-        return tuple.__new__(cls, (arity, points))
 
     @classmethod
     def empty(cls, arity: int) -> "VertexSet":

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from ._value import Value
 from .errors import ArityError, CandidateCapError
 from .diffpoly import DiffMonomial, DiffPolynomial, derivative_sample
-from .lattice import Point, as_point, leq
+from .lattice import Point, as_count, as_point, leq
 from .supports import SupportSet
 from .tropical import VertexSet
 
@@ -31,14 +31,16 @@ DEFAULT_CANDIDATE_CAP = 100_000
 
 
 class TropPolynomial(Value, namedtuple("TropPolynomial", "arity nvars terms")):
-    """Finite map from tropical monomials to nonempty vertex-set coefficients."""
+    """Finite map from tropical monomials to nonempty vertex-set coefficients.
+
+    `_trusted(arity, nvars, terms)` takes terms as `__new__` leaves them.
+    """
 
     __slots__ = ()
 
     def __new__(cls, arity: int, nvars: int,
                 terms: Iterable[tuple[TropMonomial, VertexSet]] = ()) -> "TropPolynomial":
-        if nvars < 1:
-            raise ArityError(f"nvars must be >= 1, got {nvars}")
+        arity, nvars = as_count(arity), as_count(nvars, "nvars")
         acc: dict[TropMonomial, VertexSet] = {}
         for mono, coef in terms:
             mono._check_keys(arity, nvars)
@@ -47,14 +49,7 @@ class TropPolynomial(Value, namedtuple("TropPolynomial", "arity nvars terms")):
             if coef.is_empty:
                 raise ValueError("tropical coefficients must be nonempty vertex sets")
             acc[mono] = acc[mono].oplus(coef) if mono in acc else coef
-        return tuple.__new__(cls, (arity, nvars,
-                                   tuple(sorted(acc.items(), key=lambda t: t[0].exponents))))
-
-    @classmethod
-    def _trusted(cls, arity: int, nvars: int,
-                 terms: tuple[tuple[TropMonomial, VertexSet], ...]) -> "TropPolynomial":
-        """A polynomial from terms as `__new__` leaves them, without the checks."""
-        return tuple.__new__(cls, (arity, nvars, terms))
+        return cls._trusted(arity, nvars, tuple(sorted(acc.items(), key=lambda t: t[0].exponents)))
 
     @classmethod
     def zero(cls, arity: int, nvars: int) -> "TropPolynomial":
@@ -85,23 +80,20 @@ def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
 
     An empty factor annihilates the whole product; the constant monomial
     evaluates to the origin singleton.  Every support must have the arity.
+    This is the vanishing test's own route for the one-term polynomial
+    `unit (*) mono` in len(supports) variables.
     """
     if arity is None:
         if not supports:
             raise ArityError("cannot infer arity from an empty support tuple")
         arity = supports[0].arity
-    elif arity < 1:
-        raise ArityError(f"arity must be >= 1, got {arity}")
-    if any(s.arity != arity for s in supports):
-        raise ArityError("support arity differs from polynomial arity")
-    vals = {}
+    else:
+        arity = as_count(arity)
     for key, _ in mono.exponents:
         if not 1 <= key.var <= len(supports):
             raise ArityError(f"variable x{key.var} out of range")
-        vals[key] = supports[key.var - 1].val(key.index)
-        if vals[key].is_empty:
-            break
-    return _product(mono, vals, arity)
+    poly = TropPolynomial._trusted(arity, len(supports), ((mono, VertexSet.unit(arity)),))
+    return _product(mono, _valuations((poly,), supports), arity)
 
 
 def tropicalize(poly: DiffPolynomial) -> TropPolynomial:
@@ -263,7 +255,7 @@ def enumerate_solutions(
     `SupportSet` is built only for emitted solutions.  Polynomials are tried
     in order and the first false verdict ends a candidate, as in the plain scan.
     """
-    box = as_point(box)
+    box, nvars = as_point(box), as_count(nvars, "nvars")
     if max_points is not None and max_points < 0:
         raise ValueError("max_points must be >= 0")
     if max_candidates < 0:
@@ -327,7 +319,7 @@ def enumerate_solutions(
     @functools.cache
     def support(c: int) -> SupportSet:
         # sorted grid points and no cones: already in normal form
-        return SupportSet._trusted(arity, tuple(grid[i] for i in components[c]))
+        return SupportSet._trusted(arity, tuple(grid[i] for i in components[c]), ())
 
     # One verdict memo per polynomial, keyed by its signature.
     column = {j: col for col, j in enumerate(shifts)}

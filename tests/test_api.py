@@ -155,9 +155,9 @@ def test_value_driven_loops_are_listed():
 
 
 # Val_J(S_i) has one route into the vanishing test, the helper that fills
-# its valuations; `eval_monomial` and `vertices` are the public readers.
-VAL_CALLERS = ["supports.py:SupportSet.vertices", "troppoly.py:eval_monomial",
-               "troppoly.py:_valuations"]
+# its valuations, which `eval_monomial` goes through too; `vertices` is the
+# other public reader.
+VAL_CALLERS = ["supports.py:SupportSet.vertices", "troppoly.py:_valuations"]
 
 
 def test_val_is_called_only_by_the_valuation_routes():
@@ -206,6 +206,24 @@ INPUT_READERS = ("textio.py", "cli.py")
 TRUSTED_OWNERS = ("FieldElement._trusted", "DerivativeKey._trusted", "DiffMonomial._trusted",
                   "PowerSeries._trusted", "DiffPolynomial._normal", "VertexSet._normal",
                   "VertexSet._trusted", "SupportSet._trusted", "TropPolynomial._trusted")
+
+
+def test_one_trusted_constructor():
+    # every value type inherits `Value._trusted`; the plain tuple
+    # `DerivativeKey` keeps its own
+    def defines_trusted(node):
+        return isinstance(node, ast.FunctionDef) and node.name == "_trusted"
+
+    assert _package_owners(defines_trusted) == ["_value.py:Value", "diffpoly.py:DerivativeKey"]
+
+
+def test_cli_cuts_no_argument_apart():
+    # every argument is read by the DSL parser, so cli.py makes no string surgery
+    surgery = [_calls(name) for name in ("split", "replace", "count", "find")]
+    path = pathlib.Path(tropdiff.__file__).parent / "cli.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if any(match(node) for match in surgery)]
+    assert calls == []
 
 
 def test_no_trusted_construction_of_input():

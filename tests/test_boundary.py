@@ -1,9 +1,10 @@
 """Non-integer lattice data and non-exact scalars are refused, never truncated.
 
 Each rule has one owner: `as_point` for coordinates and derivative
-indices, `DerivativeKey` for variable numbers, `DiffMonomial` for
-exponents, `FieldElement` for scalar parts and `FieldSpec` for `d`.  Each
-row reaches that owner through a different public entry point.
+indices, `as_count` for arities and variable counts (an int >= 1),
+`DerivativeKey` for variable numbers, `DiffMonomial` for exponents,
+`FieldElement` for scalar parts and `FieldSpec` for `d`.  Each row reaches
+that owner through a different public entry point.
 """
 
 import pytest
@@ -13,11 +14,17 @@ from tropdiff import (
     ArityError,
     DerivativeKey,
     DiffMonomial,
+    DiffPolynomial,
     FieldElement,
     FieldError,
     FieldSpec,
+    ParseContext,
     PowerSeries,
+    SupportSet,
+    TropPolynomial,
+    VertexSet,
     enumerate_solutions,
+    eval_monomial,
 )
 
 REFUSED = [
@@ -33,6 +40,19 @@ REFUSED = [
     ("coefficient-str", lambda: PowerSeries(1, RATIONALS, (((0,), "1/3"),)), FieldError),
     ("d-float", lambda: FieldSpec(2.0), FieldError),
     ("d-str", lambda: FieldSpec("2"), FieldError),
+    ("support-arity-float", lambda: SupportSet(1.5), ArityError),
+    ("support-arity-str", lambda: SupportSet("2"), ArityError),
+    ("vertex-arity-float", lambda: VertexSet(2.0, [(1, 2)]), ArityError),
+    ("series-arity-float", lambda: PowerSeries(2.5), ArityError),
+    ("context-arity-float", lambda: ParseContext(arity=1.5), ArityError),
+    ("poly-arity-zero", lambda: DiffPolynomial(0, 1), ArityError),
+    ("trop-arity-zero", lambda: TropPolynomial(0, 1), ArityError),
+    ("poly-nvars-float", lambda: DiffPolynomial(2, 1.5), ArityError),
+    ("trop-nvars-float", lambda: TropPolynomial(1, 2.5), ArityError),
+    ("monomial-arity-float", lambda: eval_monomial(DiffMonomial.one(), (), arity=1.5),
+     ArityError),
+    ("enumerate-nvars-zero", lambda: enumerate_solutions([], (1,), nvars=0), ArityError),
+    ("enumerate-nvars-float", lambda: enumerate_solutions([], (1,), nvars=1.5), ArityError),
 ]
 
 
@@ -42,6 +62,21 @@ REFUSED = [
 def test_refused(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_dimension_messages():
+    with pytest.raises(ArityError, match=r"^non-integer arity 1\.5$"):
+        SupportSet(1.5)
+    with pytest.raises(ArityError, match=r"^arity must be >= 1, got 0$"):
+        ParseContext(arity=0)
+    with pytest.raises(ArityError, match=r"^nvars must be >= 1, got 0$"):
+        ParseContext(arity=1, nvars=0)
+
+
+def test_a_bool_arity_is_an_int():
+    # as `as_point` accepts bool coordinates, `as_count` accepts a bool arity
+    v = VertexSet(True, [(1,)])
+    assert v == VertexSet(1, [(1,)]) and type(v.arity) is int
 
 
 def test_derivative_key_freezes_its_index():

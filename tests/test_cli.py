@@ -66,6 +66,19 @@ class TestVertices:
         code, _, err = run(capsys, "vertices", "--set", "{(1,")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        # without -m the first point fixes the arity, a set with no point has arity 1
+        (("--set", "{(1,2),(3)}"), 2, "",
+         "error: point of arity 1, expected 2 (at position 7)\n"),
+        (("--set", "{} + cone{(1,2,3)}"), 0, "{(1,2,3)}\n", ""),
+        (("--set", "cone{}"), 0, "{}\n", ""),
+        (("-m", "3", "--set", "{(1,2)}"), 2, "",
+         "error: point of arity 2, expected 3 (at position 1)\n"),
+        (("-m", "0", "--set", "{}"), 2, "", "error: arity must be >= 1, got 0\n"),
+    ])
+    def test_arity_from_the_grammar(self, capsys, argv, code, out, err):
+        assert run(capsys, "vertices", *argv) == (code, out, err)
+
     def test_large_set_within_budget(self):
         # 190 points in convex position on sum(x) = c in arity 4, translated
         # to coordinates near 10^12, plus 10 integral midpoints of pairs of

@@ -140,6 +140,19 @@ class TestParseSupport:
         with pytest.raises(ParseError):
             parse_support("{(1,2,3)}", CTX71)
 
+    def test_first_point_fixes_the_arity(self):
+        # without a context the first point read, explicit or cone, fixes the
+        # arity; a set with no point has arity 1
+        assert parse_support("{(1,4),(2,3)} + cone{(0,5)}") == \
+            parse_support("{(1,4),(2,3)} + cone{(0,5)}", CTX71)
+        assert parse_support("{} + cone{(1,2,3)}") == SupportSet(3, (), [(1, 2, 3)])
+        for text in ("{}", "cone{}", "{} + cone{}"):
+            assert parse_support(text) == SupportSet(1)
+        with pytest.raises(ParseError, match=r"^point of arity 1, expected 2 \(at position 7\)$"):
+            parse_support("{(1,2),(3)}")
+        with pytest.raises(ParseError, match=r"^point of arity 3, expected 2 \(at position 15\)$"):
+            parse_support("{(1,2)} + cone{(1,2,3)}")
+
 
 class TestParseSeries:
     def test_quadratic_fixture(self):

@@ -98,6 +98,9 @@ class TestEvalMonomial:
         ]:
             with pytest.raises(ArityError, match="support arity differs"):
                 eval_monomial(x, supports, arity=arity)
+        # and every variable's range, also past an empty factor
+        with pytest.raises(ArityError, match="^variable x2 out of range$"):
+            eval_monomial(eps * DiffMonomial.variable(2, (0, 0)), (S1,))
 
     def test_routes_agree(self):
         rng = random.Random(31)

@@ -177,7 +177,7 @@ def test_support_set():
             assert trusted == SupportSet(m, shuffled(rng, s.explicit), shuffled(rng, s.cones))
             # explicit points alone, canonical, are already in normal form
             pts = canon(rand_points(rng, m, 4, 6), m)
-            assert SupportSet._trusted(m, pts) == SupportSet(m, shuffled(rng, pts))
+            assert SupportSet._trusted(m, pts, ()) == SupportSet(m, shuffled(rng, pts))
 
 
 def test_vertex_set_operations():
