@@ -11,7 +11,23 @@ unless its class defines them.
 `V._trusted(*fields)` is the one trusted constructor: it builds a `V` from
 fields as `V.__new__` would leave them, without the checks, so each class
 states what a field must already be in its docstring or its `_normal`'s.
+
+`power` is the one square-and-multiply routine, for any associative product;
+it lives here, with no import, so the lattice layer uses it without loading
+the coefficient fields.
 """
+
+
+def power(x, n: int, one, mul):
+    """x^n for an int n >= 0 in O(log n) `mul`s: square-and-multiply (TAOCP 4.6.3)."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = x if acc is None else mul(acc, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return one if acc is None else acc
 
 
 def _refuse(self, *args):

@@ -9,46 +9,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .diffpoly import derivative_sample
-from .errors import TropdiffError
-from .field import FieldSpec
-from .textio import (
-    ParseContext,
-    diff_poly_to_json,
-    parse_diff_poly,
-    parse_point,
-    parse_series,
-    parse_series_tuple,
-    parse_support,
-    parse_supports,
-    parse_system,
-    print_diff_poly,
-    print_point,
-    print_series,
-    print_support,
-    print_trop_poly,
-    print_vertex_set,
-    report_to_json,
-    series_to_json,
-    support_to_json,
-    trop_poly_to_json,
-    vertex_set_to_json,
-)
-from .troppoly import (
-    DEFAULT_CANDIDATE_CAP,
-    enumerate_solutions,
-    is_solution_system,
-    tropicalize,
-    tropicalize_sample,
-)
+from .errors import DEFAULT_CANDIDATE_CAP, TropdiffError
+
+# Each command imports the layer it runs, inside its function: each CLI call
+# compiles what it imports when no bytecode cache is written, and `vertices`
+# needs only the lattice geometry and its grammar, `pointio`.
 
 
-def _context(args) -> ParseContext:
+def _context(args):
+    from .field import FieldSpec
+    from .textio import ParseContext
+
     field = FieldSpec() if args.sqrt is None else FieldSpec(args.sqrt)
     return ParseContext(arity=args.arity, nvars=args.nvars, field=field)
 
 
-def _load_system(args, ctx: ParseContext):
+def _load_system(args, ctx):
+    from .textio import parse_diff_poly, parse_system
+
     if args.system is not None:
         with open(args.system, encoding="utf-8") as fh:
             polys = parse_system(fh.read(), ctx)
@@ -72,14 +50,19 @@ def _emit(args, text: str, payload) -> None:
 
 
 def cmd_vertices(args) -> int:
+    from .pointio import PointContext, parse_support, print_vertex_set, vertex_set_to_json
+
     # without -m, the first point of the set fixes the arity
-    ctx = None if args.arity is None else ParseContext(arity=args.arity)
+    ctx = None if args.arity is None else PointContext(args.arity)
     v = parse_support(args.set, ctx).vertices()
     _emit(args, print_vertex_set(v), lambda: {"vertices": vertex_set_to_json(v)})
     return 0
 
 
 def cmd_trop(args) -> int:
+    from .textio import parse_diff_poly, print_trop_poly, trop_poly_to_json
+    from .troppoly import tropicalize
+
     ctx = _context(args)
     poly = parse_diff_poly(args.poly, ctx)
     tp = tropicalize(poly)
@@ -88,6 +71,8 @@ def cmd_trop(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .textio import parse_diff_poly, parse_series_tuple, print_series, series_to_json
+
     ctx = _context(args)
     poly = parse_diff_poly(args.poly, ctx)
     result = poly.evaluate(parse_series_tuple(args.at, ctx))
@@ -96,6 +81,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .pointio import parse_point
+    from .textio import (diff_poly_to_json, parse_diff_poly, parse_series, print_diff_poly,
+                         print_series, series_to_json)
+
     ctx = _context(args)
     idx = parse_point(args.index, ctx)
     if args.poly is not None:
@@ -108,6 +97,10 @@ def cmd_derive(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .pointio import parse_supports, print_point, print_vertex_set
+    from .textio import print_trop_poly, report_to_json
+    from .troppoly import is_solution_system, tropicalize_sample
+
     ctx = _context(args)
     polys = _load_system(args, ctx)
     supports = parse_supports(args.supports, ctx)
@@ -133,6 +126,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .diffpoly import derivative_sample
+    from .pointio import parse_point, print_support, support_to_json
+    from .troppoly import enumerate_solutions, tropicalize
+
     ctx = _context(args)
     polys = _load_system(args, ctx)
     box = parse_point(args.box, ctx)
@@ -148,8 +145,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    # imported here: no other command needs the fixtures, and each CLI call
-    # compiles what it imports when no bytecode cache is written
     from . import examples as fixtures
 
     results = fixtures.run_all()

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ._value import Value
 from .errors import ArityError, FieldError, PrecisionError, SampleCapError
 from .field import RATIONALS, FieldElement, FieldSpec
-from .lattice import Point, as_count, as_point
+from .lattice import Point, as_count, as_natural, as_point
 from .series import PowerSeries
 
 
@@ -303,8 +303,7 @@ def derivative_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[D
     derivatives suffices: (bound+1)^m - 1 derivations per polynomial, and
     no more than m derivatives alive beyond those the caller keeps.
     """
-    if bound < 0:
-        raise ValueError("derivative bound must be >= 0")
+    bound = as_natural(bound, "derivative bound")
     polys = list(polys)
     # (bound+1)^a > MAX_SAMPLE_SIZE for a >= its bit length, unless bound = 0:
     # a clamped exponent keeps the estimate cheap for any arity

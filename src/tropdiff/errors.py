@@ -30,6 +30,11 @@ class ParseError(TropdiffError, ValueError):
             super().__init__(message)
 
 
+# The candidate count above which `enumerate_solutions` refuses a scan; it
+# lives here, beside its error, so the CLI's option table loads no algebra.
+DEFAULT_CANDIDATE_CAP = 100_000
+
+
 class CandidateCapError(TropdiffError, RuntimeError):
     """Enumeration refused: `estimate` candidates (None: 2^bits or more) exceed the cap."""
 

@@ -13,22 +13,10 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from ._value import Value
+from ._value import Value, power
 from .errors import FieldError
 
 RationalLike = int | Fraction
-
-
-def power(x, n: int, one, mul):
-    """x^n for an int n >= 0 in O(log n) `mul`s: square-and-multiply (TAOCP 4.6.3)."""
-    acc = None
-    while n:
-        if n & 1:
-            acc = x if acc is None else mul(acc, x)
-        n >>= 1
-        if n:
-            x = mul(x, x)
-    return one if acc is None else acc
 
 
 class FieldSpec(Value, namedtuple("FieldSpec", "d")):

@@ -41,6 +41,17 @@ def as_count(n: int, name: str = "arity") -> int:
     return k
 
 
+def as_natural(n: int, name: str) -> int:
+    """Validate a count that may be 0, such as a derivative bound or a cap: an int >= 0."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise ValueError(f"non-integer {name} {n!r}") from None
+    if k < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return k
+
+
 def as_point(coords: Iterable[int], arity: int | None = None) -> Point:
     """Validate and freeze a lattice point (nonnegative integer coordinates)."""
     try:

@@ -17,9 +17,9 @@ import operator
 from collections import namedtuple
 from typing import Iterable
 
-from ._value import Value
+from ._value import Value, power
 from .errors import ArityError, FieldError, PrecisionError
-from .field import RATIONALS, FieldElement, FieldSpec, power
+from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_count, as_point
 from .supports import SupportSet
 from .tropical import VertexSet

@@ -23,9 +23,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from ._value import Value
+from ._value import Value, power
 from .errors import ArityError
-from .field import power
 from .lattice import Point, _minimal, add, as_count, as_point, canon, leq
 from .tropical import VertexSet
 

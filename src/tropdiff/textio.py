@@ -1,6 +1,7 @@
 """Text DSL and JSON serialization for every value kind.
 
-Grammar (whitespace insignificant, numbers exact, no floats):
+Grammar (whitespace insignificant, numbers exact, no floats), on top of the
+geometry rules of `pointio` (points, support sets, indices and tuples):
 
     series / differential polynomials
         expr    := ['+'|'-'] term { ('+'|'-') term }
@@ -13,17 +14,6 @@ Grammar (whitespace insignificant, numbers exact, no floats):
                  | '(' expr ')'
         (for m = 1 the name `t` abbreviates `t1`; for n = 1, `x[..]` = `x1[..]`)
 
-    support sets
-        support := pointset [ '+' cone ] | cone
-        cone    := 'cone' pointset
-        pointset:= '{' [ point { ',' point } ] '}'
-        point   := '(' nat { ',' nat } ')'      m coordinates
-
-    command-line arguments
-        index   := point | nat { ',' nat }      --index, --box
-        tuple   := item { ';' item }            n items: --supports (support),
-                                                --at (expr, a series)
-
     tropical differential polynomials
         tpoly   := '0' | tterm { '+' tterm }
         tterm   := pointset [ '*' tmono ]
@@ -33,6 +23,9 @@ Printing is canonical: terms appear in lexicographic order, so equal values
 print identically and `parse(print(v)) == v` for exact series and every
 other value.  A truncated series prints a trailing `+ O(N)`, which the
 grammar above does not read.
+
+The geometry entry points, printers and JSON forms are `pointio`'s, and
+are the same objects here.
 """
 
 from __future__ import annotations
@@ -40,19 +33,28 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar
 
-from ._value import Value
+from ._value import Value, power
 from .diffpoly import DiffMonomial, DiffPolynomial
 from .errors import FieldError, ParseError
-from .field import RATIONALS, FieldElement, FieldSpec, power
+from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_count
+from .pointio import (  # noqa: F401  (the geometry names are re-exported)
+    _PointParser,
+    parse_point,
+    parse_support,
+    parse_supports,
+    parse_vertex_set,
+    print_point,
+    print_point_set,
+    print_support,
+    print_vertex_set,
+    support_to_json,
+    vertex_set_to_json,
+)
 from .series import PowerSeries
-from .supports import SupportSet
 from .troppoly import SolutionReport, TropMonomial, TropPolynomial
 from .tropical import VertexSet
-
-_T = TypeVar("_T")
 
 
 class ParseContext(Value, namedtuple("ParseContext", "arity nvars field")):
@@ -64,28 +66,6 @@ class ParseContext(Value, namedtuple("ParseContext", "arity nvars field")):
         return tuple.__new__(cls, (as_count(arity), as_count(nvars, "nvars"), field))
 
 
-# ------------------------------------------------------------------ tokenizer
-
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*/^(){}\[\],;])"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    out.append(("end", "", len(text)))
-    return out
-
-
 # The numbered names t<k> and x<i>: what a bare name needs, and the range
 # of k in an error.
 _NAME_RANGES = {"t": ("arity 1", "arity {}"), "x": ("a single variable", "{} variables")}
@@ -95,110 +75,10 @@ _NAME_RANGES = {"t": ("arity 1", "arity {}"), "x": ("a single variable", "{} var
 MAX_NESTING = 100
 
 
-class _Parser:
+class _Parser(_PointParser):
     def __init__(self, text: str, ctx: ParseContext | None):
-        self.text = text
-        self.ctx = ctx
-        self.arity = ctx and ctx.arity
-        self.toks = _tokenize(text)
-        self.i = 0
+        super().__init__(text, ctx)
         self.depth = 0
-
-    # --- token plumbing
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def match_sym(self, *syms: str) -> str | None:
-        kind, val, _ = self.peek()
-        if kind == "sym" and val in syms:
-            self.advance()
-            return val
-        return None
-
-    def expect_sym(self, sym: str) -> None:
-        if self.match_sym(sym) is None:
-            raise ParseError(f"expected {sym!r}", self.text, self.peek()[2])
-
-    def expect_int(self) -> int:
-        kind, val, pos = self.advance()
-        if kind != "int":
-            raise ParseError("expected an integer", self.text, pos)
-        return int(val)
-
-    def expect_end(self) -> None:
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("trailing input", self.text, pos)
-
-    def parse_list(self, item: Callable[[], _T], sep: str) -> list[_T]:
-        """`item {sep item}`."""
-        items = [item()]
-        while self.match_sym(sep):
-            items.append(item())
-        return items
-
-    # --- points, point sets and tuples
-
-    def parse_coords(self, what: str, delims: str, pos: int) -> Point:
-        """`int {',' int}` of arity m, between the two symbols of `delims` if any.
-
-        An arity error names `what` and points at `pos`.  With the arity still
-        open, the coordinates fix it.
-        """
-        if delims:
-            self.expect_sym(delims[0])
-        coords = self.parse_list(self.expect_int, ",")
-        if delims:
-            self.expect_sym(delims[1])
-        self.arity = self.arity or len(coords)
-        if len(coords) != self.arity:
-            raise ParseError(
-                f"{what} of arity {len(coords)}, expected {self.arity}",
-                self.text, pos,
-            )
-        return tuple(coords)
-
-    def parse_point(self) -> Point:
-        return self.parse_coords("point", "()", self.peek()[2])
-
-    def parse_index(self) -> Point:
-        """A point whose parentheses may be left out: `(1,0)` or `1,0`."""
-        _, val, pos = self.peek()
-        return self.parse_coords("point", "()" if val == "(" else "", pos)
-
-    def parse_point_set(self) -> tuple[Point, ...]:
-        self.expect_sym("{")
-        if self.match_sym("}"):
-            return ()
-        pts = self.parse_list(self.parse_point, ",")
-        self.expect_sym("}")
-        return tuple(pts)
-
-    def parse_support(self) -> SupportSet:
-        explicit: tuple[Point, ...] = ()
-        if self.peek()[1] != "cone":
-            explicit = self.parse_point_set()
-            if not self.match_sym("+"):
-                return SupportSet(self.arity or 1, explicit)
-            if self.peek()[1] != "cone":
-                raise ParseError("expected 'cone'", self.text, self.peek()[2])
-        self.advance()
-        cones = self.parse_point_set()  # read before the arity it may fix
-        return SupportSet(self.arity or 1, explicit, cones)
-
-    def parse_tuple(self, what: str, item: Callable[[], _T]) -> list[_T]:
-        """`item {';' item}` up to the end, one item per variable."""
-        items = self.parse_list(item, ";")
-        self.expect_end()  # stray input is reported before the count
-        if len(items) != self.ctx.nvars:
-            raise ParseError(f"expected {self.ctx.nvars} {what}, got {len(items)}")
-        return items
 
     # --- numbered names and derivative variables
 
@@ -344,51 +224,21 @@ class _Parser:
 # ------------------------------------------------------------------ entry points
 
 
-def _parse(text: str, ctx: ParseContext | None, rule: Callable[[_Parser], _T]) -> _T:
-    """Read all of `text` by one grammar rule."""
-    p = _Parser(text, ctx)
-    out = rule(p)
-    p.expect_end()
-    return out
-
-
-def parse_point(text: str, ctx: ParseContext) -> Point:
-    """A point whose parentheses may be left out: `(1,0)` or `1,0`."""
-    return _parse(text, ctx, _Parser.parse_index)
-
-
-def parse_support(text: str, ctx: ParseContext | None = None) -> SupportSet:
-    """A support set; without a context its first point fixes the arity.
-
-    A set with no point then has arity 1.
-    """
-    return _parse(text, ctx, _Parser.parse_support)
-
-
-def parse_supports(text: str, ctx: ParseContext) -> list[SupportSet]:
-    """A support tuple `S1;...;Sn`, one set per variable."""
-    return _parse(text, ctx, lambda p: p.parse_tuple("support sets", p.parse_support))
-
-
-def parse_vertex_set(text: str, ctx: ParseContext) -> VertexSet:
-    return VertexSet(ctx.arity, _parse(text, ctx, _Parser.parse_point_set))
-
-
 def parse_series(text: str, ctx: ParseContext) -> PowerSeries:
-    return _parse(text, ctx, _Parser.parse_series)
+    return _Parser.read(text, ctx, _Parser.parse_series)
 
 
 def parse_series_tuple(text: str, ctx: ParseContext) -> list[PowerSeries]:
     """A series tuple `phi1;...;phin`, one series per variable."""
-    return _parse(text, ctx, lambda p: p.parse_tuple("series", p.parse_series))
+    return _Parser.read(text, ctx, lambda p: p.parse_tuple("series", p.parse_series))
 
 
 def parse_diff_poly(text: str, ctx: ParseContext) -> DiffPolynomial:
-    return _parse(text, ctx, lambda p: p.parse_expr(allow_x=True))
+    return _Parser.read(text, ctx, lambda p: p.parse_expr(allow_x=True))
 
 
 def parse_trop_poly(text: str, ctx: ParseContext) -> TropPolynomial:
-    return _parse(text, ctx, _Parser.parse_trop_poly)
+    return _Parser.read(text, ctx, _Parser.parse_trop_poly)
 
 
 def parse_system(text: str, ctx: ParseContext) -> list[DiffPolynomial]:
@@ -406,27 +256,6 @@ def parse_system(text: str, ctx: ParseContext) -> list[DiffPolynomial]:
 
 
 # ------------------------------------------------------------------ printers
-
-
-def print_point(p: Point) -> str:
-    return "(" + ",".join(str(c) for c in p) + ")"
-
-
-def print_point_set(points: Iterable[Point]) -> str:
-    return "{" + ",".join(print_point(p) for p in points) + "}"
-
-
-def print_support(s: SupportSet) -> str:
-    if not s.cones:
-        return print_point_set(s.explicit)
-    cone = "cone" + print_point_set(s.cones)
-    if not s.explicit:
-        return cone
-    return print_point_set(s.explicit) + " + " + cone
-
-
-def print_vertex_set(v: VertexSet) -> str:
-    return print_point_set(v.points)
 
 
 def _series_monomial(exp: Point) -> str:
@@ -510,7 +339,6 @@ def print_trop_poly(p: TropPolynomial) -> str:
         parts.append(cstr + "*" + mstr if mstr else cstr)
     return " + ".join(parts)
 
-
 # ------------------------------------------------------------------ JSON forms
 
 
@@ -524,18 +352,6 @@ def series_to_json(s: PowerSeries) -> dict:
             for p, c in s.terms
         ],
     }
-
-
-def support_to_json(s: SupportSet) -> dict:
-    return {
-        "arity": s.arity,
-        "explicit": [list(p) for p in s.explicit],
-        "cones": [list(g) for g in s.cones],
-    }
-
-
-def vertex_set_to_json(v: VertexSet) -> list:
-    return [list(p) for p in v.points]
 
 
 def _monomial_to_json(mono: DiffMonomial) -> list:

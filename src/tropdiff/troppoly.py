@@ -17,17 +17,15 @@ from collections import namedtuple
 from typing import Iterable, Sequence
 
 from ._value import Value
-from .errors import ArityError, CandidateCapError
+from .errors import DEFAULT_CANDIDATE_CAP, ArityError, CandidateCapError
 from .diffpoly import DiffMonomial, DiffPolynomial, derivative_sample
-from .lattice import Point, as_count, as_point, leq
+from .lattice import Point, as_count, as_natural, as_point, leq
 from .supports import SupportSet
 from .tropical import VertexSet
 
 # A tropical monomial eps_M carries exactly the exponent data of its
 # classical counterpart E_M; only the evaluation semantics differ.
 TropMonomial = DiffMonomial
-
-DEFAULT_CANDIDATE_CAP = 100_000
 
 
 class TropPolynomial(Value, namedtuple("TropPolynomial", "arity nvars terms")):
@@ -256,10 +254,9 @@ def enumerate_solutions(
     in order and the first false verdict ends a candidate, as in the plain scan.
     """
     box, nvars = as_point(box), as_count(nvars, "nvars")
-    if max_points is not None and max_points < 0:
-        raise ValueError("max_points must be >= 0")
-    if max_candidates < 0:
-        raise ValueError("max_candidates must be >= 0")
+    if max_points is not None:
+        max_points = as_natural(max_points, "max_points")
+    max_candidates = as_natural(max_candidates, "max_candidates")
     arity = len(box)
     count_candidates(box, max_points, nvars, max_candidates)
     polys = list(polys)

@@ -9,6 +9,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import tropdiff
 
 import oracles
@@ -75,6 +77,13 @@ def test_every_name_resolves():
         assert hasattr(tropdiff, name), name
 
 
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from tropdiff import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert set(PUBLIC) <= set(dir(tropdiff))
+
+
 def test_no_oracle_in_the_package():
     assert {"staircase_hull_2d", "eval_monomial_minkowski"} <= set(ORACLES)
     modules = [tropdiff] + [
@@ -89,7 +98,7 @@ def test_no_oracle_in_the_package():
 
 # Modules that read digits from text; everywhere else `int()` would
 # truncate a float coordinate, index or exponent instead of refusing it.
-INT_READERS = {"textio.py", "cli.py"}
+INT_READERS = {"pointio.py", "textio.py", "cli.py"}
 
 
 def test_int_only_reads_text():
@@ -198,14 +207,15 @@ def test_membership_core_is_called_only_by_its_two_users():
     assert _package_owners(_calls("member_newton")) == []
 
 
-# Outside input enters through textio.py and cli.py, so it must go through
-# the validating constructors there; the `_trusted` ones and the normal
-# forms `PowerSeries._normal`, `DiffPolynomial._normal` and `VertexSet._normal`
-# skip every check.
-INPUT_READERS = ("textio.py", "cli.py")
-TRUSTED_OWNERS = ("FieldElement._trusted", "DerivativeKey._trusted", "DiffMonomial._trusted",
-                  "PowerSeries._trusted", "DiffPolynomial._normal", "VertexSet._normal",
-                  "VertexSet._trusted", "SupportSet._trusted", "TropPolynomial._trusted")
+# Outside input enters through pointio.py, textio.py and cli.py, so it must
+# go through the validating constructors there; the `_trusted` ones and the
+# normal forms `PowerSeries._normal`, `DiffPolynomial._normal` and
+# `VertexSet._normal` skip every check.  Each owner is a `module:Class.attr`
+# that the class defines itself, not one it inherits.
+INPUT_READERS = ("pointio.py", "textio.py", "cli.py")
+TRUSTED_OWNERS = ("_value:Value._trusted", "diffpoly:DerivativeKey._trusted",
+                  "series:PowerSeries._normal", "diffpoly:DiffPolynomial._normal",
+                  "tropical:VertexSet._normal")
 
 
 def test_one_trusted_constructor():
@@ -228,8 +238,9 @@ def test_cli_cuts_no_argument_apart():
 
 def test_no_trusted_construction_of_input():
     for name in TRUSTED_OWNERS:
-        owner, attr = name.split(".")
-        assert hasattr(getattr(tropdiff, owner), attr), name
+        module, path = name.split(":")
+        owner, attr = path.split(".")
+        assert attr in vars(getattr(importlib.import_module(f"tropdiff.{module}"), owner)), name
     calls = []
     for name in INPUT_READERS:
         path = pathlib.Path(tropdiff.__file__).parent / name
@@ -258,11 +269,36 @@ def test_no_module_imports_dataclasses():
     assert imports == []
 
 
+SRC = pathlib.Path(tropdiff.__file__).parent.parent
+
+# What the geometry layer never needs: the coefficient fields, the algebra
+# modules and the whole-DSL parser.
+ALGEBRA = {"tropdiff.field", "tropdiff.series", "tropdiff.diffpoly", "tropdiff.troppoly",
+           "tropdiff.textio", "fractions", "decimal"}
+
+
+def _loaded(*argv):
+    """Modules a fresh `python *argv` imports, compiling from source as a CLI call does."""
+    out = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                         text=True, timeout=30,
+                         env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"))
+    assert out.returncode == 0, out.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:")} - {"imported package"}
+
+
+def test_import_loads_no_submodule():
+    assert {m for m in _loaded("-c", "import tropdiff") if m.startswith("tropdiff.")} == set()
+
+
 def test_cli_start_up_loads_no_heavy_module():
-    code = ("import sys; before = set(sys.modules); "
-            "import tropdiff.cli as c; c.build_parser(); "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))")
-    src = pathlib.Path(tropdiff.__file__).parent.parent
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=30, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+    loaded = _loaded("-c", "import tropdiff.cli as c; c.build_parser()")
+    assert loaded & ({"dataclasses", "inspect", "json"} | ALGEBRA) == set()
+
+
+@pytest.mark.parametrize("options", [[], ["-m", "2"], ["--format", "json"]])
+def test_vertices_loads_only_the_geometry(options):
+    loaded = _loaded("-m", "tropdiff", "vertices", "--set", "{(1,2),(2,1)} + cone{(1,1)}",
+                     *options)
+    assert "tropdiff.pointio" in loaded
+    assert loaded & (ALGEBRA | {"tropdiff.examples"}) == set()

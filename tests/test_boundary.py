@@ -2,6 +2,7 @@
 
 Each rule has one owner: `as_point` for coordinates and derivative
 indices, `as_count` for arities and variable counts (an int >= 1),
+`as_natural` for derivative bounds and enumeration caps (an int >= 0),
 `DerivativeKey` for variable numbers, `DiffMonomial` for exponents,
 `FieldElement` for scalar parts and `FieldSpec` for `d`.  Each row reaches
 that owner through a different public entry point.
@@ -23,8 +24,10 @@ from tropdiff import (
     SupportSet,
     TropPolynomial,
     VertexSet,
+    derivative_sample,
     enumerate_solutions,
     eval_monomial,
+    tropicalize_sample,
 )
 
 REFUSED = [
@@ -53,6 +56,12 @@ REFUSED = [
      ArityError),
     ("enumerate-nvars-zero", lambda: enumerate_solutions([], (1,), nvars=0), ArityError),
     ("enumerate-nvars-float", lambda: enumerate_solutions([], (1,), nvars=1.5), ArityError),
+    ("sample-bound-float", lambda: tropicalize_sample([], 1.5), ValueError),
+    ("derivative-bound-float", lambda: list(derivative_sample([DiffPolynomial(1, 1)], 1.5)),
+     ValueError),
+    ("max-points-float", lambda: enumerate_solutions([], (1,), 1.5, nvars=1), ValueError),
+    ("max-candidates-float",
+     lambda: enumerate_solutions([], (1,), nvars=1, max_candidates=10.5), ValueError),
 ]
 
 

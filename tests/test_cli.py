@@ -428,6 +428,37 @@ class TestExamples:
         assert all(e["pass"] for e in data["examples"])
 
 
+HELP = os.path.join(os.path.dirname(__file__), "help")
+COMMANDS = ["vertices", "trop", "eval", "derive", "check", "enumerate", "examples"]
+
+
+def help_text(capsys, monkeypatch, *argv):
+    """Stdout of `tropdiff *argv --help` at a width of 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    return out.out
+
+
+class TestHelp:
+    # tests/help/ holds the help of each command as argparse of Python
+    # 3.10-3.12 prints it; from 3.13 on argparse prints an option's
+    # aliases with a single metavar, so the pinned bytes differ
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="the pinned help is argparse's format before Python 3.13")
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_is_pinned(self, capsys, monkeypatch, command):
+        with open(os.path.join(HELP, f"{command or 'tropdiff'}.txt"), encoding="utf-8") as fh:
+            expected = fh.read()
+        argv = [] if command is None else [command]
+        assert help_text(capsys, monkeypatch, *argv) == expected
+
+    def test_enumerate_help_names_the_default_cap(self, capsys, monkeypatch):
+        assert "refusal cap (default: 100000)" in help_text(capsys, monkeypatch, "enumerate")
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
