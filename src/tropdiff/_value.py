@@ -12,10 +12,24 @@ unless its class defines them.
 fields as `V.__new__` would leave them, without the checks, so each class
 states what a field must already be in its docstring or its `_normal`'s.
 
-`power` is the one square-and-multiply routine, for any associative product;
-it lives here, with no import, so the lattice layer uses it without loading
-the coefficient fields.
+`power` is the one square-and-multiply routine, for any associative product,
+and `as_exponent` the one check of its exponent; they live here, importing
+only `operator`, so the lattice layer uses them without loading the
+coefficient fields.
 """
+
+import operator
+
+
+def as_exponent(n: int, kind: str) -> int:
+    """Validate the exponent of a `kind` power (`"series"`, `"Minkowski"`, ...): an int >= 0."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{kind} powers require an integer n, got {n!r}") from None
+    if k < 0:
+        raise ValueError(f"{kind} powers require n >= 0")
+    return k
 
 
 def power(x, n: int, one, mul):

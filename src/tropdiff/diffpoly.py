@@ -19,14 +19,14 @@ from ._value import Value
 from .errors import ArityError, FieldError, PrecisionError, SampleCapError
 from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_count, as_natural, as_point
-from .series import PowerSeries
+from .series import PowerSeries, as_axis
 
 
-class DerivativeKey(tuple):
+class DerivativeKey(namedtuple("DerivativeKey", "var index")):
     """The derivative variable x_{var, index} (var is 1-based).
 
-    An immutable (var, index) pair, so keys hash, compare and sort as
-    tuples do.
+    A named tuple kept outside `Value`, so keys hash, compare and sort as
+    tuples do; pickle and copy rebuild them through `__new__`.
     """
 
     __slots__ = ()
@@ -42,15 +42,6 @@ class DerivativeKey(tuple):
     def _trusted(cls, var: int, index: Point) -> "DerivativeKey":
         """The key of an int variable and a valid point, without the checks."""
         return tuple.__new__(cls, (var, index))
-
-    var = property(operator.itemgetter(0))
-    index = property(operator.itemgetter(1))
-
-    def __repr__(self) -> str:
-        return f"DerivativeKey(var={self.var!r}, index={self.index!r})"
-
-    def __getnewargs__(self):  # pickle and copy pass (var, index) to __new__
-        return tuple(self)
 
     def bump(self, k: int) -> "DerivativeKey":
         """Key of the derivative along axis k (1-based)."""
@@ -196,8 +187,7 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         precision)` parts and summed by `DiffPolynomial._normal`; monomials
         whose sum has no known terms are dropped.
         """
-        if not 1 <= k <= self.arity:
-            raise ArityError(f"axis {k} out of range for arity {self.arity}")
+        k = as_axis(k, self.arity)
         groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
         for mono, coef in self.terms:
             d = coef.derive(k)

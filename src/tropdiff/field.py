@@ -13,7 +13,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from ._value import Value, power
+from ._value import Value, as_exponent, power
 from .errors import FieldError
 
 RationalLike = int | Fraction
@@ -163,13 +163,4 @@ class FieldElement(Value, namedtuple("FieldElement", "field a b")):
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.field.one / self ** (-n)
-        return power(self, n, self.field.one, FieldElement.__mul__)
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        parts = []
-        if self.a != 0:
-            parts.append(str(self.a))
-        parts.append(f"{self.b}*sqrtd" if self.b != 1 else "sqrtd")
-        return "+".join(parts).replace("+-", "-")
+        return power(self, as_exponent(n, "field"), self.field.one, FieldElement.__mul__)

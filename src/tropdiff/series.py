@@ -17,12 +17,20 @@ import operator
 from collections import namedtuple
 from typing import Iterable
 
-from ._value import Value, power
+from ._value import Value, as_exponent, power
 from .errors import ArityError, FieldError, PrecisionError
 from .field import RATIONALS, FieldElement, FieldSpec
-from .lattice import Point, as_count, as_point
+from .lattice import Point, as_count, as_natural, as_point
 from .supports import SupportSet
 from .tropical import VertexSet
+
+
+def as_axis(k: int, arity: int) -> int:
+    """Validate a 1-based axis index of t_1..t_arity: an int from 1 to `arity`."""
+    k = as_count(k, "axis")
+    if k > arity:
+        raise ArityError(f"axis {k} out of range for arity {arity}")
+    return k
 
 
 def factorial_of(p: Point) -> int:
@@ -47,8 +55,8 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
                 terms: Iterable[tuple[Iterable[int], FieldElement | int]] = (),
                 precision: int | None = None) -> "PowerSeries":
         arity = as_count(arity)
-        if precision is not None and precision < 0:
-            raise PrecisionError(f"negative precision {precision}")
+        if precision is not None:
+            precision = as_natural(precision, "precision")
         checked = tuple((as_point(exp, arity), field.coerce(c)) for exp, c in terms)
         return cls._normal(arity, field, ((checked, precision),))
 
@@ -97,10 +105,8 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
     @classmethod
     def variable(cls, arity: int, k: int, field: FieldSpec = RATIONALS) -> "PowerSeries":
         """The series t_k (1-based axis index)."""
-        if not 1 <= k <= arity:
-            raise ArityError(f"variable index {k} out of range for arity {arity}")
-        exp = tuple(1 if i == k - 1 else 0 for i in range(arity))
-        return cls.monomial(arity, exp, field.one, field)
+        k = as_axis(k, arity)
+        return cls.monomial(arity, (0,) * (k - 1) + (1,) + (0,) * (arity - k), field.one, field)
 
     # ---------------------------------------------------------------- queries
 
@@ -169,22 +175,19 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
         )
 
     def __pow__(self, n: int) -> "PowerSeries":
-        if n < 0:
-            raise ValueError("series powers require n >= 0")
-        return power(self, n, PowerSeries.one(self.arity, self.field), PowerSeries.__mul__)
+        return power(self, as_exponent(n, "series"), PowerSeries.one(self.arity, self.field),
+                     PowerSeries.__mul__)
 
     def truncate(self, n: int) -> "PowerSeries":
         """Forget coefficients of total degree >= n: add the zero known below degree n."""
-        if n < 0:
-            raise PrecisionError(f"negative precision {n}")
+        n = as_natural(n, "precision")
         return PowerSeries._normal(self.arity, self.field, ((self.terms, self.precision), ((), n)))
 
     # ---------------------------------------------------------------- calculus
 
     def derive(self, k: int) -> "PowerSeries":
         """Formal partial derivative along axis k (1-based)."""
-        if not 1 <= k <= self.arity:
-            raise ArityError(f"axis {k} out of range for arity {self.arity}")
+        k = as_axis(k, self.arity)
         return self.theta((0,) * (k - 1) + (1,) + (0,) * (self.arity - k))
 
     def theta(self, shift: Iterable[int]) -> "PowerSeries":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable
 
-from ._value import Value, power
+from ._value import Value, as_exponent, power
 from .errors import ArityError
 from .lattice import Point, _minimal, add, as_count, as_point, canon, leq
 from .tropical import VertexSet
@@ -116,9 +116,8 @@ class SupportSet(Value, namedtuple("SupportSet", "arity explicit cones")):
 
     def n_fold(self, n: int) -> "SupportSet":
         """n-fold Minkowski power; the empty product is the origin singleton."""
-        if n < 0:
-            raise ValueError("Minkowski powers require n >= 0")
-        return power(self, n, SupportSet.origin(self.arity), SupportSet.minkowski)
+        return power(self, as_exponent(n, "Minkowski"), SupportSet.origin(self.arity),
+                     SupportSet.minkowski)
 
     def _shifted(self, j: Point) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
         expl = tuple(

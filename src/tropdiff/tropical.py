@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Iterator
 
-from ._value import Value
+from ._value import Value, as_exponent
 from .errors import ArityError
 from .lattice import Point, _vertices_cached, add, as_count, as_point, canon
 
@@ -85,8 +85,7 @@ class VertexSet(Value, namedtuple("VertexSet", "arity points")):
 
     def odot_power(self, n: int) -> "VertexSet":
         """n-fold tropical product {n*v}, as N(V+...+V) = n*N(V); n = 0 gives the unit."""
-        if n < 0:
-            raise ValueError("tropical powers require n >= 0")
+        n = as_exponent(n, "tropical")
         if n == 0:
             return VertexSet.unit(self.arity)
         # scaling by n >= 1 keeps the order, and n*Vert(V) = Vert(n*V)

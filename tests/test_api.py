@@ -196,6 +196,20 @@ def test_vertex_routine_is_called_only_by_the_normal_forms():
     assert _package_owners(_calls("_vertices_cached")) == VERTEX_ROUTINE_CALLERS
 
 
+# Axes and exponents have one owner each: `as_axis` checks the axis k of
+# t_k, `as_exponent` the exponent of each power routine; no routine checks
+# its own by hand.
+AXIS_CALLERS = ["diffpoly.py:DiffPolynomial.derive", "series.py:PowerSeries.variable",
+                "series.py:PowerSeries.derive"]
+EXPONENT_CALLERS = ["field.py:FieldElement.__pow__", "series.py:PowerSeries.__pow__",
+                    "supports.py:SupportSet.n_fold", "tropical.py:VertexSet.odot_power"]
+
+
+def test_axes_and_exponents_are_checked_by_their_owners():
+    assert _package_owners(_calls("as_axis")) == AXIS_CALLERS
+    assert _package_owners(_calls("as_exponent")) == EXPONENT_CALLERS
+
+
 # Newton-polygon membership has one exact core: the public test and the
 # vertex routine call it directly, and no module of the package goes back
 # through the validating `member_newton`.
@@ -219,8 +233,8 @@ TRUSTED_OWNERS = ("_value:Value._trusted", "diffpoly:DerivativeKey._trusted",
 
 
 def test_one_trusted_constructor():
-    # every value type inherits `Value._trusted`; the plain tuple
-    # `DerivativeKey` keeps its own
+    # every value type inherits `Value._trusted`; the named tuple
+    # `DerivativeKey`, kept outside `Value` so that keys sort, keeps its own
     def defines_trusted(node):
         return isinstance(node, ast.FunctionDef) and node.name == "_trusted"
 
@@ -285,6 +299,14 @@ def _loaded(*argv):
     assert out.returncode == 0, out.stderr
     return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
             if line.startswith("import time:")} - {"imported package"}
+
+
+def test_console_script_is_cli_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"tropdiff": "tropdiff.cli:run"}
+    module, name = project["scripts"]["tropdiff"].split(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_import_loads_no_submodule():

@@ -2,10 +2,14 @@
 
 Each rule has one owner: `as_point` for coordinates and derivative
 indices, `as_count` for arities and variable counts (an int >= 1),
-`as_natural` for derivative bounds and enumeration caps (an int >= 0),
-`DerivativeKey` for variable numbers, `DiffMonomial` for exponents,
-`FieldElement` for scalar parts and `FieldSpec` for `d`.  Each row reaches
-that owner through a different public entry point.
+`as_natural` for derivative bounds, enumeration caps and series
+precisions (an int >= 0), `as_axis` for the axis k of t_k (an int from 1
+to the arity), `as_exponent` for the exponent of a series, Minkowski,
+tropical or field power (an int >= 0), `DerivativeKey` for variable
+numbers, `DiffMonomial` for monomial exponents, `FieldElement` for scalar
+parts and `FieldSpec` for `d`.  Each row reaches that owner through a
+different public entry point.  Values of different arities, variable
+counts or fields are refused too, never combined.
 """
 
 import pytest
@@ -24,11 +28,17 @@ from tropdiff import (
     SupportSet,
     TropPolynomial,
     VertexSet,
+    as_point,
     derivative_sample,
     enumerate_solutions,
     eval_monomial,
+    is_solution,
     tropicalize_sample,
 )
+
+Q2 = FieldSpec(2)
+ONE = PowerSeries.one(1)
+X1 = DiffMonomial.variable(1, (0,))
 
 REFUSED = [
     ("index-float", lambda: DiffMonomial.variable(1, (1.5,)), ArityError),
@@ -62,6 +72,45 @@ REFUSED = [
     ("max-points-float", lambda: enumerate_solutions([], (1,), 1.5, nvars=1), ValueError),
     ("max-candidates-float",
      lambda: enumerate_solutions([], (1,), nvars=1, max_candidates=10.5), ValueError),
+    ("point-empty", lambda: as_point(()), ArityError),
+    ("variable-axis-float", lambda: PowerSeries.variable(2, 1.5), ArityError),
+    ("series-derive-axis-float", lambda: PowerSeries.variable(2, 1).derive(1.5), ArityError),
+    ("poly-derive-axis-float", lambda: DiffPolynomial(2, 1).derive(1.5), ArityError),
+    ("precision-float", lambda: PowerSeries(1, RATIONALS, (((0,), 1),), 1.5), ValueError),
+    ("truncate-float", lambda: PowerSeries.one(1).truncate(1.5), ValueError),
+    ("odot-power-float", lambda: VertexSet(1, [(1,)]).odot_power(1.5), ValueError),
+    ("n-fold-float", lambda: SupportSet(1, [(1,)]).n_fold(1.5), ValueError),
+    ("series-power-float", lambda: PowerSeries.one(1) ** 1.5, ValueError),
+    ("field-power-float", lambda: RATIONALS(2) ** 1.5, ValueError),
+    # mixed arities, variable counts and fields
+    ("support-mixed-arity", lambda: SupportSet(1).union(SupportSet(2)), ArityError),
+    ("vertex-mixed-arity", lambda: VertexSet(1).oplus(VertexSet(2)), ArityError),
+    ("series-mixed-arity", lambda: PowerSeries(1) + PowerSeries(2), ArityError),
+    ("series-mixed-field", lambda: PowerSeries(1) * PowerSeries(1, Q2), FieldError),
+    ("poly-mixed-nvars", lambda: DiffPolynomial(1, 1) + DiffPolynomial(1, 2), ArityError),
+    ("poly-mixed-field", lambda: DiffPolynomial(1, 1) * DiffPolynomial(1, 1, Q2), FieldError),
+    ("key-var-out-of-range",
+     lambda: DiffPolynomial(1, 1, RATIONALS, [(DiffMonomial.variable(2, (0,)), ONE)]),
+     ArityError),
+    ("key-index-arity", lambda: TropPolynomial(2, 1, [(X1, VertexSet.unit(2))]), ArityError),
+    ("poly-coefficient-arity",
+     lambda: DiffPolynomial(2, 1, RATIONALS, [(DiffMonomial.one(), ONE)]), ArityError),
+    ("poly-coefficient-field", lambda: DiffPolynomial(1, 1, Q2, [(X1, ONE)]), FieldError),
+    ("trop-coefficient-arity",
+     lambda: TropPolynomial(2, 1, [(DiffMonomial.one(), VertexSet.unit(1))]), ArityError),
+    ("trop-coefficient-empty", lambda: TropPolynomial(1, 1, [(X1, VertexSet(1))]), ValueError),
+    ("evaluate-series-arity", lambda: DiffPolynomial(1, 1).evaluate([PowerSeries.one(2)]),
+     ArityError),
+    ("evaluate-series-field", lambda: DiffPolynomial(1, 1).evaluate([PowerSeries.one(1, Q2)]),
+     FieldError),
+    ("constants-from-a-series",
+     lambda: DiffPolynomial(1, 1, RATIONALS, [(X1, PowerSeries.variable(1, 1))])
+     .eval_at_constants(lambda var, index: RATIONALS.one), ValueError),
+    ("monomial-arity-unknown", lambda: eval_monomial(DiffMonomial.one(), ()), ArityError),
+    ("solution-support-count", lambda: is_solution(TropPolynomial(1, 2), [SupportSet(1)]),
+     ArityError),
+    ("enumerate-members-disagree",
+     lambda: enumerate_solutions([TropPolynomial(2, 1)], (1,), nvars=1), ArityError),
 ]
 
 

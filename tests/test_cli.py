@@ -62,6 +62,13 @@ class TestVertices:
         assert code == 0
         assert json.loads(out) == {"vertices": [[1, 4], [2, 3]]}
 
+    def test_run_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        # the console script and `python -m tropdiff` both enter through `run`
+        monkeypatch.setattr(sys, "argv", ["tropdiff", "vertices", "--set", "{(1,4),(2,3)}"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (exc.value.code, capsys.readouterr().out) == (0, "{(1,4),(2,3)}\n")
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "vertices", "--set", "{(1,")
         assert code == 2 and "error" in err
@@ -374,6 +381,12 @@ class TestEvalDeriveEnumerate:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "internal error" not in err
+
+    def test_comment_only_system_is_empty(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text("# no polynomial\n\n   # nor here\n", encoding="utf-8")
+        assert run(capsys, "check", "-m", "1", "--system", str(path), "--supports", "{(0)}") == (
+            2, "", "error: the system is empty\n")
 
     def test_negative_max_points_exit_2(self, capsys):
         code, out, err = run(capsys, "enumerate", "-m", "1", "--poly", "x[0]",

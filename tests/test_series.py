@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -74,6 +75,18 @@ class TestField:
         s = Q2.sqrt_d()
         assert s ** 2 == elem(2)
         assert s ** 0 == Q2.one
+
+    def test_int_on_the_left(self):
+        x = elem(2, 1)  # 2 + sqrt 2, of norm 2
+        assert 1 - x == elem(-1, -1)
+        assert 1 / x == elem(1, Fraction(-1, 2))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                    lambda x, y: y / x])
+    def test_foreign_operands_are_refused(self, op):
+        # the element's own operator answers NotImplemented, and so does the float's
+        with pytest.raises(TypeError):
+            op(elem(1), 0.5)
 
 
 class TestArithmetic:

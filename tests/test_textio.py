@@ -234,6 +234,16 @@ class TestParseTropPoly:
         tp = parse_trop_poly("{(1,1)}", ctx)
         assert tp.terms == ((DiffMonomial.one(), VertexSet(2, ((1, 1),))),)
 
+    @pytest.mark.parametrize("parse, text, message, pos", [
+        (parse_support, "{(0,0)} + {(1,1)}", "expected 'cone'", 10),
+        (parse_trop_poly, "{(0,0)}*t1", "expected a derivative variable", 8),
+        (parse_trop_poly, "{(0,0)}*x1[0,0]^0", "tropical powers must be >= 1", 8),
+    ])
+    def test_grammar_errors(self, parse, text, message, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(text, CTX71)
+        assert (exc.value.message, exc.value.pos) == (message, pos)
+
     def test_empty_coefficient_rejected(self):
         with pytest.raises(ParseError):
             parse_trop_poly("{}*x1[0,0]", ParseContext(arity=2, nvars=1))

@@ -111,6 +111,10 @@ def test_derivative_key():
     with pytest.raises(AttributeError):
         key.var = 2
     assert copy.deepcopy(key) == pickle.loads(pickle.dumps(key)) == key
+    # both rebuild through the validating __new__
+    for rebuild in (copy.deepcopy, lambda k: pickle.loads(pickle.dumps(k))):
+        with pytest.raises(ValueError, match="non-integer variable number"):
+            rebuild(DerivativeKey._trusted(1.5, (0,)))
 
 
 def test_diff_monomial():
