@@ -11,8 +11,10 @@ derivative of phi_i for x_{i,J}.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import namedtuple
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -82,6 +84,8 @@ class DiffMonomial(Value, namedtuple("DiffMonomial", "exponents")):
         return not self.exponents
 
     def __mul__(self, other: "DiffMonomial") -> "DiffMonomial":
+        if not (self.exponents and other.exponents):  # a factor is the unit monomial
+            return self if not other.exponents else other
         acc = dict(self.exponents)
         for key, e in other.exponents:
             acc[key] = acc.get(key, 0) + e
@@ -122,7 +126,8 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         `groups` maps monomial exponents, in range for `(arity, nvars)`, to
         parts of `arity` over `field`, each in series normal form: a lone part
         is kept as it is, more are summed by `PowerSeries._normal`.  Monomials
-        whose sum has no known terms are dropped, the rest sorted by exponents.
+        that sum to an exact zero are dropped, the rest sorted by exponents: a
+        truncated coefficient with no known terms is unknown, not zero.
         """
         terms = []
         for exponents, parts in sorted(groups.items()):
@@ -130,7 +135,7 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
                 coef = PowerSeries._trusted(arity, field, *parts[0])
             else:
                 coef = PowerSeries._normal(arity, field, parts)
-            if coef.terms:
+            if coef.terms or coef.precision is not None:
                 terms.append((DiffMonomial._trusted(exponents), coef))
         return cls._trusted(arity, nvars, field, tuple(terms))
 
@@ -181,41 +186,21 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
     # ---------------------------------------------------------------- derivations
 
     def derive(self, k: int) -> "DiffPolynomial":
-        """One derivation along axis k: Leibniz over variables plus d(alpha)/dt_k.
-
-        The contributions to each monomial are gathered as `(terms,
-        precision)` parts and summed by `DiffPolynomial._normal`; monomials
-        whose sum has no known terms are dropped.
-        """
+        """One derivation along axis k: Leibniz over variables plus d(alpha)/dt_k."""
         k = as_axis(k, self.arity)
-        groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
-        for mono, coef in self.terms:
-            d = coef.derive(k)
-            groups.setdefault(mono.exponents, []).append((d.terms, d.precision))
-            for key, e in mono.exponents:
-                # x_{i,J}^e -> e * x_{i,J}^(e-1) * x_{i,J+e_k}
-                counts = dict(mono.exponents)
-                if e == 1:
-                    del counts[key]
-                else:
-                    counts[key] = e - 1
-                bumped = key.bump(k)
-                counts[bumped] = counts.get(bumped, 0) + 1
-                scaled = coef.terms if e == 1 else tuple((p, c._scaled(e)) for p, c in coef.terms)
-                groups.setdefault(tuple(sorted(counts.items())), []).append(
-                    (scaled, coef.precision))
-        return DiffPolynomial._normal(self.arity, self.nvars, self.field, groups)
+        return self.theta((0,) * (k - 1) + (1,) + (0,) * (self.arity - k))
 
     def theta(self, shift: Iterable[int]) -> "DiffPolynomial":
         """Iterated derivations per the multi-index `shift`; they stop at zero."""
         j = as_point(shift, self.arity)
-        out = self
+        den, form = _numerators(self)
+        memo: dict = {}
         for k in range(self.arity):
             for _ in range(j[k]):
-                if out.is_zero:
-                    return out
-                out = out.derive(k + 1)
-        return out
+                if not form:
+                    break
+                form = _derive_form(form, k, memo)
+        return _from_numerators(self, den, form)
 
     # ---------------------------------------------------------------- evaluation
 
@@ -275,8 +260,117 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         return total
 
 
+# The derivation engine.  theta(I)(cP) = c*theta(I)P, so P is derived once
+# times `den`, the lcm of its coefficients' denominators, on integers only.  A
+# form maps each monomial's exponents to (map, precision); the map sends (part,
+# p) to the nonzero int part of the coefficient of t^p, 0 rational, 1 sqrt(d):
+# a + b*sqrt(d) = 0 iff a = b = 0, so its points are the coefficient's support.
+
+
+def _numerators(poly: DiffPolynomial) -> tuple[int, dict]:
+    """`den` and the form of `poly` times `den`."""
+    den = math.lcm(*(c._denominator() for _, s in poly.terms for _, c in s.terms))
+    return den, {mono.exponents: ({(part, p): n for p, c in s.terms
+                                   for part, n in enumerate(c._numerators(den)) if n},
+                                  s.precision)
+                 for mono, s in poly.terms}
+
+
+def _from_numerators(poly: DiffPolynomial, den: int, form: dict) -> DiffPolynomial:
+    """The polynomial of a form of `poly`'s shape, divided by `den`."""
+    terms = []
+    for exponents, (coef, prec) in sorted(form.items()):
+        parts: dict[Point, list[int]] = {}
+        for (part, p), n in coef.items():
+            parts.setdefault(p, [0, 0])[part] = n
+        series = tuple((p, FieldElement._trusted(poly.field, Fraction(a, den), Fraction(b, den)))
+                       for p, (a, b) in sorted(parts.items()))
+        terms.append((DiffMonomial._trusted(exponents),
+                      PowerSeries._trusted(poly.arity, poly.field, series, prec)))
+    return DiffPolynomial._trusted(poly.arity, poly.nvars, poly.field, tuple(terms))
+
+
+def _supports(form: dict) -> list[tuple[tuple, set[Point]]]:
+    """Each monomial's exponents and its coefficient's support, sorted; exact forms only."""
+    if any(prec is not None for _, prec in form.values()):
+        raise PrecisionError("the tropicalization of a truncated series is unknowable")
+    return [(exponents, {p for _, p in coef}) for exponents, (coef, _) in sorted(form.items())]
+
+
+def _derive_form(form: dict, i: int, memo: dict) -> dict:
+    """One derivation of a form along the 0-based axis i.
+
+    alpha*E gives d(alpha)/dt_i*E, of precision N - 1, and, for each key
+    x_{v,J}^e of E, e*alpha*E*x_{v,J+e_i}/x_{v,J}; `memo` keeps those monomials
+    per (exponents, i) and x_{v,J+e_i} per (x_{v,J}, i).  The parts are summed
+    as by `DiffPolynomial._normal`.
+    """
+    groups: dict = {}
+    for exponents, (coef, prec) in form.items():
+        deriv = {(part, p[:i] + (p[i] - 1,) + p[i + 1:]): c * p[i]
+                 for (part, p), c in coef.items() if p[i]}
+        dprec = None if prec is None else max(prec - 1, 0)
+        groups.setdefault(exponents, []).append((deriv, dprec, 1))
+        bumped = memo.get((exponents, i))
+        if bumped is None:
+            bumped = memo[exponents, i] = []
+            for key, e in exponents:
+                up = memo.get((key, i))
+                if up is None:
+                    up = memo[key, i] = key.bump(i + 1)
+                counts = dict(exponents)
+                if e == 1:
+                    del counts[key]
+                else:
+                    counts[key] = e - 1
+                counts[up] = counts.get(up, 0) + 1
+                bumped.append((tuple(sorted(counts.items())), e))
+        for exps, e in bumped:
+            groups.setdefault(exps, []).append((coef, prec, e))
+    out = {}
+    for exponents, parts in groups.items():
+        coef, prec, e = parts[0]
+        if len(parts) > 1 or e != 1:  # a lone map of factor 1 is shared, not copied
+            acc: dict = {}
+            for terms, p, e in parts:
+                for q, c in terms.items():
+                    acc[q] = acc.get(q, 0) + c * e
+                if p is not None and (prec is None or p < prec):
+                    prec = p
+            coef = {q: c for q, c in acc.items() if c and (prec is None or sum(q[1]) < prec)}
+        if coef or prec is not None:
+            out[exponents] = (coef, prec)
+    return out
+
+
 # The most polynomials `derivative_sample` yields: |polys|*(bound+1)^m.
 MAX_SAMPLE_SIZE = 10_000
+
+
+def _sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[tuple]:
+    """(P, den, form of theta(I)(P) times den) in `derivative_sample`'s order.
+
+    `den` is None at I = 0, where the form is P's own.
+    """
+    bound = as_natural(bound, "derivative bound")
+    polys = list(polys)
+    # (bound+1)^a > MAX_SAMPLE_SIZE for a >= its bit length, unless bound = 0:
+    # a clamped exponent keeps the estimate cheap for any arity
+    cap_bits = MAX_SAMPLE_SIZE.bit_length()
+    size = sum((bound + 1) ** min(p.arity, cap_bits) for p in polys)
+    if size > MAX_SAMPLE_SIZE:
+        raise SampleCapError(f"the derivative sample would hold {size} or more "
+                             f"polynomials, exceeding the cap of {MAX_SAMPLE_SIZE}")
+    memo: dict = {}
+    for p in polys:
+        den, form = _numerators(p)
+        # row[j] = theta(I_1, .., I_{j+1}, 0, .., 0)(P) for the current I
+        row = [form] * p.arity
+        for idx in itertools.product(range(bound + 1), repeat=p.arity):
+            k = max((i for i, j in enumerate(idx) if j), default=None)
+            if k is not None:
+                row[k:] = [_derive_form(row[k], k, memo)] * (p.arity - k)
+            yield p, None if k is None else den, row[-1]
 
 
 def derivative_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[DiffPolynomial]:
@@ -291,22 +385,9 @@ def derivative_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[D
     and the result is equal term for term.  I - e_k = (I_1, .., I_k - 1, 0,
     .., 0) is a prefix of the index just before I, so one row of m prefix
     derivatives suffices: (bound+1)^m - 1 derivations per polynomial, and
-    no more than m derivatives alive beyond those the caller keeps.
+    no more than m derivatives alive beyond those the caller keeps.  Each
+    polynomial is derived on integer numerators and converted back once per
+    entry.
     """
-    bound = as_natural(bound, "derivative bound")
-    polys = list(polys)
-    # (bound+1)^a > MAX_SAMPLE_SIZE for a >= its bit length, unless bound = 0:
-    # a clamped exponent keeps the estimate cheap for any arity
-    cap_bits = MAX_SAMPLE_SIZE.bit_length()
-    size = sum((bound + 1) ** min(p.arity, cap_bits) for p in polys)
-    if size > MAX_SAMPLE_SIZE:
-        raise SampleCapError(f"the derivative sample would hold {size} or more "
-                             f"polynomials, exceeding the cap of {MAX_SAMPLE_SIZE}")
-    for p in polys:
-        # row[j] = theta(I_1, .., I_{j+1}, 0, .., 0)(P) for the current I
-        row = [p] * p.arity
-        for idx in itertools.product(range(bound + 1), repeat=p.arity):
-            k = max((i for i, j in enumerate(idx) if j), default=None)
-            if k is not None:
-                row[k:] = [row[k].derive(k + 1)] * (p.arity - k)
-            yield row[-1]
+    for p, den, form in _sample(polys, bound):
+        yield p if den is None else _from_numerators(p, den, form)

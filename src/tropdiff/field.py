@@ -90,6 +90,15 @@ class FieldElement(Value, namedtuple("FieldElement", "field a b")):
         """self * n for a Python int n, without coercing n into the field."""
         return FieldElement._trusted(self.field, self.a * n, self.b * n if self.b else self.b)
 
+    def _denominator(self) -> int:
+        """The least common denominator of both parts."""
+        return math.lcm(self.a.denominator, self.b.denominator)
+
+    def _numerators(self, den: int) -> tuple[int, int]:
+        """The int parts of self * den, for `den` a multiple of `_denominator()`."""
+        a, b = self.a, self.b
+        return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, (FieldElement, int, Fraction)):
             return self.field.coerce(other)
@@ -131,6 +140,8 @@ class FieldElement(Value, namedtuple("FieldElement", "field a b")):
         d = self.field.d
         if d is None:
             return FieldElement._trusted(self.field, self.a * o.a, self.b)  # b = 0 over Q
+        if not o.b:
+            return FieldElement._trusted(self.field, self.a * o.a, self.b * o.a)
         return FieldElement._trusted(
             self.field,
             self.a * o.a + d * self.b * o.b,

@@ -85,7 +85,7 @@ def leq(p: Point, q: Point) -> bool:
 
 
 def add(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
+    return tuple(map(operator.add, p, q))
 
 
 def minimal_elements(points: Iterable[Point]) -> tuple[Point, ...]:

@@ -236,6 +236,8 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
 
 def _prod_prec(x: PowerSeries, y: PowerSeries) -> int | None:
     # error terms: err_x * known_y (>= px + ord_y), known_x * err_y, err * err
+    if x.precision is None and y.precision is None:
+        return None
     cands = []
     ox, oy = x.min_total_degree(), y.min_total_degree()
     if x.precision is not None and oy is not None:

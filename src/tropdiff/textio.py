@@ -30,12 +30,13 @@ are the same objects here.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import namedtuple
 from fractions import Fraction
 
 from ._value import Value, power
-from .diffpoly import DiffMonomial, DiffPolynomial
+from .diffpoly import DerivativeKey, DiffMonomial, DiffPolynomial
 from .errors import FieldError, ParseError
 from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_count
@@ -120,14 +121,13 @@ class _Parser(_PointParser):
     # --- polynomial expressions
 
     def parse_expr(self, allow_x: bool) -> DiffPolynomial:
-        op = self.match_sym("+", "-")
-        poly = self.parse_term(allow_x)
-        if op == "-":
-            poly = -poly
-        while op := self.match_sym("+", "-"):
-            rhs = self.parse_term(allow_x)
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+        # the terms are summed in one normal form, not pairwise
+        terms, op = [], self.match_sym("+", "-")
+        while True:
+            term = self.parse_term(allow_x)
+            terms += (-term if op == "-" else term).terms
+            if not (op := self.match_sym("+", "-")):
+                return DiffPolynomial(self.arity, self.ctx.nvars, self.ctx.field, terms)
 
     def parse_series(self) -> PowerSeries:
         return self.parse_expr(allow_x=False).coefficient(DiffMonomial.one())
@@ -141,8 +141,9 @@ class _Parser(_PointParser):
     def parse_factor(self, allow_x: bool) -> DiffPolynomial:
         poly = self.parse_atom(allow_x)
         if self.match_sym("^"):
-            return power(poly, self.expect_int(), self._const_poly(self.ctx.field.one),
-                         DiffPolynomial.__mul__)
+            n = self.expect_int()  # the unit of x^0 is built only then
+            return power(poly, n, None, DiffPolynomial.__mul__) if n else \
+                self._const_poly(self.ctx.field.one)
         return poly
 
     def _term(self, coef: PowerSeries, mono: DiffMonomial = DiffMonomial.one()) -> DiffPolynomial:
@@ -308,12 +309,19 @@ def print_series(s: PowerSeries) -> str:
     return text
 
 
+# A derivative sample repeats few derivative keys and coefficient sets: each
+# is printed once.
+_point_set_str = functools.lru_cache(maxsize=4096)(print_point_set)
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_str(key: DerivativeKey) -> str:
+    return f"x{key.var}[" + ",".join(map(str, key.index)) + "]"
+
+
 def _diff_monomial_str(mono: DiffMonomial) -> str:
-    parts = []
-    for key, e in mono.exponents:
-        v = f"x{key.var}[" + ",".join(str(j) for j in key.index) + "]"
-        parts.append(v if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
+    return "*".join([_key_str(key) if e == 1 else f"{_key_str(key)}^{e}"
+                     for key, e in mono.exponents])
 
 
 def print_diff_poly(p: DiffPolynomial) -> str:
@@ -335,7 +343,7 @@ def print_trop_poly(p: TropPolynomial) -> str:
     parts = []
     for mono, coef in p.terms:
         mstr = _diff_monomial_str(mono)
-        cstr = print_point_set(coef.points)
+        cstr = _point_set_str(coef.points)
         parts.append(cstr + "*" + mstr if mstr else cstr)
     return " + ".join(parts)
 

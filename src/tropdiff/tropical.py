@@ -78,15 +78,18 @@ class VertexSet(Value, namedtuple("VertexSet", "arity points")):
     def odot(self, other: "VertexSet") -> "VertexSet":
         """Tropical product: vertex set of the Minkowski sum; empty annihilates."""
         self._check(other)
-        if self.is_empty or other.is_empty:
-            return self if self.is_empty else other
-        return VertexSet._normal(
-            self.arity, [add(p, q) for p in self.points for q in other.points])
+        a, b = (self, other) if len(self.points) <= len(other.points) else (other, self)
+        if len(a.points) != 1:
+            return a if not a.points else VertexSet._normal(
+                self.arity, [add(p, q) for p in a.points for q in b.points])
+        # Vert(S + {p}) = Vert(S) + p: a translation keeps the order and the vertices
+        p = a.points[0]
+        return VertexSet._trusted(b.arity, tuple([add(p, q) for q in b.points])) if any(p) else b
 
     def odot_power(self, n: int) -> "VertexSet":
         """n-fold tropical product {n*v}, as N(V+...+V) = n*N(V); n = 0 gives the unit."""
         n = as_exponent(n, "tropical")
-        if n == 0:
-            return VertexSet.unit(self.arity)
+        if n <= 1:
+            return self if n else VertexSet.unit(self.arity)
         # scaling by n >= 1 keeps the order, and n*Vert(V) = Vert(n*V)
         return VertexSet._trusted(self.arity, tuple(tuple(n * c for c in p) for p in self.points))

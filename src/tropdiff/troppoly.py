@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from ._value import Value
 from .errors import DEFAULT_CANDIDATE_CAP, ArityError, CandidateCapError
-from .diffpoly import DiffMonomial, DiffPolynomial, derivative_sample
+from .diffpoly import DiffMonomial, DiffPolynomial, _sample, _supports
 from .lattice import Point, as_count, as_natural, as_point, leq
 from .supports import SupportSet
 from .tropical import VertexSet
@@ -66,8 +66,8 @@ def _product(mono: TropMonomial, vals: dict, arity: int) -> VertexSet:
     acc = VertexSet._trusted(arity, ((0,) * arity,))
     for key, e in mono.exponents:
         factor = vals[key]
-        if factor.is_empty:
-            return VertexSet._trusted(arity, ())
+        if not factor.points:
+            return factor  # the empty set annihilates
         acc = acc.odot(factor.odot_power(e))
     return acc
 
@@ -98,19 +98,24 @@ def tropicalize(poly: DiffPolynomial) -> TropPolynomial:
     """Replace each coefficient series by its vertex set, monomials verbatim.
 
     Coefficients must be exact; they are nonzero by construction, so every
-    tropical coefficient is a nonempty vertex set, and the terms keep the
-    checked, canonical order of `poly`.
+    tropical coefficient is a nonempty vertex set.  This is the I = 0 entry
+    of the sample of `poly`.
     """
-    return TropPolynomial._trusted(
-        poly.arity,
-        poly.nvars,
-        tuple((mono, coef.trop()) for mono, coef in poly.terms),
-    )
+    return tropicalize_sample((poly,), 0)[0]
 
 
 def tropicalize_sample(polys: Iterable[DiffPolynomial], bound: int) -> tuple[TropPolynomial, ...]:
-    """Tropicalizations of `derivative_sample(polys, bound)`, in the same order."""
-    return tuple(tropicalize(q) for q in derivative_sample(polys, bound))
+    """Tropicalizations of `derivative_sample(polys, bound)`, in the same order.
+
+    The vertex sets are read off the supports the derivation engine keeps,
+    so no series is built.
+    """
+    out = []
+    for p, _, form in _sample(polys, bound):
+        terms = tuple([(DiffMonomial._trusted(exponents), VertexSet._normal(p.arity, points))
+                       for exponents, points in _supports(form)])
+        out.append(TropPolynomial._trusted(p.arity, p.nvars, terms))
+    return tuple(out)
 
 
 # -------------------------------------------------------------------- solutions
@@ -151,11 +156,11 @@ def _report(poly: TropPolynomial, vals: dict, memo: dict) -> SolutionReport:
             v = memo[mono] = _product(mono, vals, poly.arity)
         sets.append(coef.odot(v))
     # Vert(union of the Vert T_i) = Vert(union of the T_i): one (+) over all terms
-    evaluation = VertexSet._normal(poly.arity, [v for ts in sets for v in ts])
+    evaluation = VertexSet._normal(poly.arity, [v for ts in sets for v in ts.points])
     witnesses = []
     verdict = True
     for v in evaluation.points:
-        found = tuple(i for i, ts in enumerate(sets) if v in ts.points)
+        found = tuple([i for i, ts in enumerate(sets) if v in ts.points])
         witnesses.append((v, found))
         if len(found) < 2:
             verdict = False

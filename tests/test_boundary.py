@@ -25,6 +25,7 @@ from tropdiff import (
     FieldSpec,
     ParseContext,
     PowerSeries,
+    PrecisionError,
     SupportSet,
     TropPolynomial,
     VertexSet,
@@ -33,12 +34,15 @@ from tropdiff import (
     enumerate_solutions,
     eval_monomial,
     is_solution,
+    tropicalize,
     tropicalize_sample,
 )
 
 Q2 = FieldSpec(2)
 ONE = PowerSeries.one(1)
 X1 = DiffMonomial.variable(1, (0,))
+# (1 + O(t)) * 1: its derivative's constant coefficient O(1) has no known terms
+UNKNOWN = DiffPolynomial(1, 1, RATIONALS, [(DiffMonomial.one(), ONE.truncate(1))])
 
 REFUSED = [
     ("index-float", lambda: DiffMonomial.variable(1, (1.5,)), ArityError),
@@ -111,6 +115,9 @@ REFUSED = [
      ArityError),
     ("enumerate-members-disagree",
      lambda: enumerate_solutions([TropPolynomial(2, 1)], (1,), nvars=1), ArityError),
+    # an unknown coefficient O(t^N) without known terms is not zero
+    ("trop-derived-unknown", lambda: tropicalize(UNKNOWN.derive(1)), PrecisionError),
+    ("taylor-unknown", lambda: UNKNOWN.taylor_coeff_poly((1,)), PrecisionError),
 ]
 
 

@@ -18,6 +18,7 @@ from tropdiff import (
     parse_series,
     tropicalize,
 )
+from tropdiff import diffpoly
 from tropdiff.diffpoly import MAX_SAMPLE_SIZE
 from tropdiff.errors import SampleCapError
 from tropdiff.series import factorial_of
@@ -67,8 +68,9 @@ class TestTheta:
 
     def test_derivations_stop_at_zero(self, monkeypatch):
         calls = []
-        derive = DiffPolynomial.derive
-        monkeypatch.setattr(DiffPolynomial, "derive", lambda p, k: calls.append(k) or derive(p, k))
+        derive = diffpoly._derive_form
+        monkeypatch.setattr(diffpoly, "_derive_form",
+                            lambda form, i, memo: calls.append(i + 1) or derive(form, i, memo))
         p = parse_diff_poly("t1^2 - 2*t1", CTX73)
         assert p.theta((50,)) == parse_diff_poly("0", CTX73)
         assert calls == [1, 1, 1]
@@ -226,13 +228,13 @@ class TestDerivativeSample:
 
     def test_one_derivation_per_index(self, monkeypatch):
         calls = []
-        derive = DiffPolynomial.derive
+        derive = diffpoly._derive_form
 
-        def counting(self, k):
-            calls.append(k)
-            return derive(self, k)
+        def counting(form, i, memo):
+            calls.append(i + 1)
+            return derive(form, i, memo)
 
-        monkeypatch.setattr(DiffPolynomial, "derive", counting)
+        monkeypatch.setattr(diffpoly, "_derive_form", counting)
         rng = random.Random(42)
         for m in (1, 2, 3):
             polys = [rand_diff_poly(rng, m, 2, Q) for _ in range(3)]
@@ -248,7 +250,7 @@ class TestDerivativeSample:
 
     def test_cap_refused_before_any_derivation(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(DiffPolynomial, "derive", lambda self, k: calls.append(k))
+        monkeypatch.setattr(diffpoly, "_derive_form", lambda form, i, memo: calls.append(i))
         line = parse_diff_poly("x1[1] - x1[0]", CTX73)
         # exactly MAX_SAMPLE_SIZE entries are admitted, one more is refused
         assert next(derivative_sample([line], MAX_SAMPLE_SIZE - 1)) is line

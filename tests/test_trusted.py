@@ -35,6 +35,7 @@ from tropdiff import (
     is_solution_system,
     parse_diff_poly,
     tropicalize,
+    tropicalize_sample,
 )
 from tropdiff.lattice import add, canon
 
@@ -275,7 +276,7 @@ def test_diff_polynomial_normal_form_of_split_parts():
                 want[mono] = pairs_add(want[mono], pairs_of(coef)) if mono in want \
                     else pairs_of(coef)
             assert {mono: pairs_of(c) for mono, c in got.terms} == {
-                mono: x for mono, x in want.items() if x[0]}
+                mono: x for mono, x in want.items() if x[0] or x[1] is not None}
             assert [mono.exponents for mono in got.monomials()] == sorted(
                 mono.exponents for mono in got.monomials())
             cancelled += len(negated - set(got.monomials()))
@@ -360,6 +361,29 @@ def test_sample_builds_nothing_through_validation(monkeypatch):
     assert len(sample) == 27 and calls == []
     DiffMonomial()  # the counter does count a validated construction
     assert calls == ["DiffMonomial"]
+
+
+def test_sample_tropicalization_builds_no_series(monkeypatch):
+    # the vertex sets are read off the derivation engine's integer maps
+    polys = bundled_polys()
+    calls = []
+    for cls in (PowerSeries, FieldElement):
+        new, trusted = cls.__new__, cls._trusted
+
+        def counting_new(cls, *args, new=new, **kwargs):
+            calls.append(cls.__name__)
+            return new(cls, *args, **kwargs)
+
+        def counting_trusted(cls, *fields, trusted=trusted):
+            calls.append(cls.__name__)
+            return trusted(*fields)
+
+        monkeypatch.setattr(cls, "__new__", counting_new)
+        monkeypatch.setattr(cls, "_trusted", classmethod(counting_trusted))
+    sample = tropicalize_sample(polys, 2)
+    assert len(sample) == 27 and calls == []
+    PowerSeries.one(2, Q2)  # the counters do count both constructors
+    assert set(calls) == {"PowerSeries", "FieldElement"}
 
 
 def test_monomial_products_build_nothing_through_validation(monkeypatch):
