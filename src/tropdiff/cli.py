@@ -99,48 +99,46 @@ def cmd_derive(args) -> int:
 def cmd_check(args) -> int:
     from .pointio import parse_supports, print_point, print_vertex_set
     from .textio import print_trop_poly, report_to_json
-    from .troppoly import is_solution_system, tropicalize_sample
+    from .troppoly import _reports, _trop_sample
 
     ctx = _context(args)
     polys = _load_system(args, ctx)
     supports = parse_supports(args.supports, ctx)
-    sample = tropicalize_sample(polys, args.derive_bound)
-    ok, reports = is_solution_system(sample, supports)
-    printed = [print_trop_poly(p) for p in sample]
-    lines = []
-    for text, r in zip(printed, reports):
-        lines.append(text)
-        lines.append(f"  evaluation: {print_vertex_set(r.evaluation)}")
+    # Each sample entry is tested, and its report written, as it is derived.
+    ok, entries = True, []
+    for p, r in _reports(_trop_sample(polys, args.derive_bound), supports):
+        ok = ok and r.solution
+        text = print_trop_poly(p)
+        if args.format == "json":
+            entries.append({"polynomial": text, "report": report_to_json(r)})
+            continue
+        print(text)
+        print(f"  evaluation: {print_vertex_set(r.evaluation)}")
         for v, idx in r.witnesses:
-            lines.append(f"  {print_point(v)}: monomials {list(idx)}")
-        lines.append(f"  solution: {str(r.solution).lower()}")
-    lines.append(f"overall solution: {str(ok).lower()}")
-    _emit(args, "\n".join(lines), lambda: {
-        "solution": ok,
-        "polynomials": [
-            {"polynomial": text, "report": report_to_json(r)}
-            for text, r in zip(printed, reports)
-        ],
-    })
+            print(f"  {print_point(v)}: monomials {list(idx)}")
+        print(f"  solution: {str(r.solution).lower()}")
+    _emit(args, f"overall solution: {str(ok).lower()}",
+          lambda: {"solution": ok, "polynomials": entries})
     return 0 if ok else 1
 
 
 def cmd_enumerate(args) -> int:
-    from .diffpoly import derivative_sample
     from .pointio import parse_point, print_support, support_to_json
-    from .troppoly import enumerate_solutions, tropicalize
+    from .troppoly import _solutions, _trop_sample
 
     ctx = _context(args)
     polys = _load_system(args, ctx)
     box = parse_point(args.box, ctx)
-    # Passed lazily: the candidate cap is checked before any derivative.
-    sample = (tropicalize(q) for q in derivative_sample(polys, args.derive_bound))
-    solutions = enumerate_solutions(sample, box, args.max_points, nvars=ctx.nvars,
-                                    max_candidates=args.max_candidates)
-    lines = [" ; ".join(print_support(s) for s in tup) for tup in solutions]
-    lines.append(f"{len(solutions)} solution(s)")
-    _emit(args, "\n".join(lines), lambda: {
-        "solutions": [[support_to_json(s) for s in tup] for tup in solutions]})
+    # Passed lazily: the candidate cap is checked before any derivative, and
+    # every refusal comes before the first solution.
+    solutions = _solutions(_trop_sample(polys, args.derive_bound), box, args.max_points,
+                           ctx.nvars, args.max_candidates,
+                           support_to_json if args.format == "json" else print_support)
+    count = 0
+    if args.format == "text":  # each solution is written as it is found
+        for count, texts in enumerate(solutions, 1):
+            print(" ; ".join(texts))
+    _emit(args, f"{count} solution(s)", lambda: {"solutions": list(solutions)})
     return 0
 
 

@@ -329,8 +329,10 @@ def print_diff_poly(p: DiffPolynomial) -> str:
     for mono, coef in p.terms:
         mstr = _diff_monomial_str(mono)
         sub = _series_pieces(coef)
-        # a coefficient of several pieces is parenthesized; a unit one is left out
-        sign, body = sub[0] if len(sub) == 1 else (1, "(" + _join_signed(sub) + ")")
+        # a coefficient of several pieces, or a truncated one with its
+        # precision, is parenthesized; a unit one is left out
+        sign, body = (sub[0] if len(sub) == 1 and coef.precision is None
+                      else (1, "(" + print_series(coef) + ")"))
         if mstr:
             body = mstr if body == "1" else body + "*" + mstr
         pieces.append((sign, body))

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import DEFAULT_CANDIDATE_CAP, ArityError, CandidateCapError
@@ -110,12 +110,15 @@ def tropicalize_sample(polys: Iterable[DiffPolynomial], bound: int) -> tuple[Tro
     The vertex sets are read off the supports the derivation engine keeps,
     so no series is built.
     """
-    out = []
+    return tuple(_trop_sample(polys, bound))
+
+
+def _trop_sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[TropPolynomial]:
+    """The entries of `tropicalize_sample`, each as the engine derives it."""
     for p, _, form in _sample(polys, bound):
         terms = tuple([(DiffMonomial._trusted(exponents), VertexSet._normal(p.arity, points))
                        for exponents, points in _supports(form)])
-        out.append(TropPolynomial._trusted(p.arity, p.nvars, terms))
-    return tuple(out)
+        yield TropPolynomial._trusted(p.arity, p.nvars, terms)
 
 
 # -------------------------------------------------------------------- solutions
@@ -133,15 +136,21 @@ class SolutionReport(Value, namedtuple("SolutionReport", "evaluation witnesses s
     __slots__ = ()
 
 
-def _valuations(polys: Sequence[TropPolynomial], supports: Sequence[SupportSet]) -> dict:
-    """Val_J(S_i) for each key x_{i,J} of `polys`, after checking the supports."""
+def _valuations(polys: Sequence[TropPolynomial], supports: Sequence[SupportSet],
+                vals: dict | None = None) -> dict:
+    """Val_J(S_i) for each key x_{i,J} of `polys`, after checking the supports.
+
+    Given `vals`, only the keys it lacks are computed, and added to it.
+    """
     for p in polys:
         if len(supports) != p.nvars:
             raise ArityError(f"expected {p.nvars} support sets, got {len(supports)}")
         if any(s.arity != p.arity for s in supports):
             raise ArityError("support arity differs from polynomial arity")
     keys = {key for p in polys for mono in p.monomials() for key, _ in mono.exponents}
-    return {key: supports[key.var - 1].val(key.index) for key in keys}
+    vals = {} if vals is None else vals
+    vals.update({key: supports[key.var - 1].val(key.index) for key in keys - vals.keys()})
+    return vals
 
 
 def _report(poly: TropPolynomial, vals: dict, memo: dict) -> SolutionReport:
@@ -164,16 +173,24 @@ def _report(poly: TropPolynomial, vals: dict, memo: dict) -> SolutionReport:
         witnesses.append((v, found))
         if len(found) < 2:
             verdict = False
-    return SolutionReport(
-        evaluation=evaluation,
-        witnesses=tuple(witnesses),
-        solution=verdict,
-    )
+    return SolutionReport(evaluation, tuple(witnesses), verdict)
 
 
 def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> SolutionReport:
     """Tropical vanishing test for one polynomial at a support tuple."""
     return _report(poly, _valuations((poly,), supports), {})
+
+
+def _reports(polys: Iterable[TropPolynomial], supports: Sequence[SupportSet]
+             ) -> Iterator[tuple[TropPolynomial, SolutionReport]]:
+    """Each member of a family with its vanishing test at `supports`, as it is read.
+
+    Each Val_J(S_i) is computed once, and each monomial is evaluated once.
+    """
+    vals: dict = {}
+    memo: dict[TropMonomial, VertexSet] = {}
+    for p in polys:
+        yield p, _report(p, _valuations((p,), supports, vals), memo)
 
 
 def is_solution_system(
@@ -184,10 +201,7 @@ def is_solution_system(
     The supports are fixed, so each Val_J(S_i) is computed once for the
     family, and each monomial is evaluated once.
     """
-    polys = tuple(polys)
-    vals = _valuations(polys, supports)
-    memo: dict[TropMonomial, VertexSet] = {}
-    reports = tuple(_report(p, vals, memo) for p in polys)
+    reports = tuple([r for _, r in _reports(polys, supports)])
     return all(r.solution for r in reports), reports
 
 
@@ -241,6 +255,16 @@ def enumerate_solutions(
     lazily passed derivative sample is never built for a refused box.  The
     output order is fixed: per component, subsets by size, then by their
     lexicographic point list; tuples in product order (last component fastest).
+    """
+    return list(_solutions(polys, box, max_points, nvars, max_candidates, None))
+
+
+def _solutions(polys: Iterable[TropPolynomial], box: Iterable[int], max_points: int | None,
+               nvars: int, max_candidates: int, emit: Callable | None) -> Iterator[tuple]:
+    """The solutions of `enumerate_solutions`, in its order, as they are found.
+
+    Each component is given as `emit(s)` of its `SupportSet` s, or as s
+    without `emit`; every refusal is raised on the first `next`.
 
     A component is a sorted tuple of indices into the sorted box grid.
     `is_solution(p, S)` reads S only through Val_J(S_i) for the derivative
@@ -293,23 +317,22 @@ def enumerate_solutions(
             vertex_sets.append(pts)
         return ids[pts]
 
-    # Components by size, then lexicographic; row c holds the vertex ids
-    # of component c's restrictions, one column per J.  Each row extends
-    # the row of the component without its last point, listed earlier;
-    # only a component of fewer than `top` points is a prefix, kept in row_of.
-    components = [
-        combo for k in range(top + 1)
-        for combo in itertools.combinations(range(len(grid)), k)
-    ]
-    row_of = {(): (0,) * len(shifts)}
-    rows = [row_of[()]]
-    for combo in components[1:]:
-        i = combo[-1]
-        row = tuple([extend(v, i) if ins[i] else v
-                     for v, ins in zip(row_of[combo[:-1]], inside)])
-        rows.append(row)
-        if len(combo) < top:
-            row_of[combo] = row
+    def components() -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        # Each component with its row of vertex ids, one column per J, by
+        # size, then lexicographic.  A component of size + 1 points extends
+        # one of size points by a later point, in the row's order: only the
+        # components of the last size are kept, and only while they are prefixes.
+        level = [((), (0,) * len(shifts))]
+        yield level[0]
+        for size in range(top):
+            prefixes, level = level, []
+            for combo, row in prefixes:
+                for i in range(combo[-1] + 1 if combo else 0, len(grid)):
+                    component = (combo + (i,), tuple([extend(v, i) if ins[i] else v
+                                                      for v, ins in zip(row, inside)]))
+                    yield component
+                    if size + 1 < top:
+                        level.append(component)
 
     @functools.cache
     def val(v: int, j: Point) -> VertexSet:
@@ -318,21 +341,27 @@ def enumerate_solutions(
         pts = tuple(tuple([a - b for a, b in zip(q, j)]) for q in vertex_sets[v])
         return VertexSet._trusted(arity, vertex_sets[ids[pts]] if pts in ids else pts)
 
-    @functools.cache
-    def support(c: int) -> SupportSet:
+    def support(combo: tuple[int, ...]):
         # sorted grid points and no cones: already in normal form
-        return SupportSet._trusted(arity, tuple(grid[i] for i in components[c]), ())
+        s = SupportSet._trusted(arity, tuple([grid[i] for i in combo]), ())
+        return s if emit is None else emit(s)
 
+    # With one variable each component is a candidate once; product order
+    # visits each again, so `product` lists them, and each is emitted once.
+    if nvars == 1:
+        candidates = ((component,) for component in components())
+    else:
+        candidates = itertools.product(components(), repeat=nvars)
+        support = functools.cache(support)
     # One verdict memo per polynomial, keyed by its signature.
     column = {j: col for col, j in enumerate(shifts)}
     keyed = [
         (p, keys, [(k.var - 1, column[k.index]) for k in keys], {})
         for p, keys in zip(polys, key_sets)
     ]
-    out = []
-    for candidate in itertools.product(range(len(rows)), repeat=nvars):
+    for candidate in candidates:
         for p, keys, cells, memo in keyed:
-            sig = tuple([rows[candidate[v]][col] for v, col in cells])
+            sig = tuple([candidate[v][1][col] for v, col in cells])
             verdict = memo.get(sig)
             if verdict is None:
                 vals = {k: val(v, k.index) for k, v in zip(keys, sig)}
@@ -340,5 +369,4 @@ def enumerate_solutions(
             if not verdict:
                 break
         else:
-            out.append(tuple([support(c) for c in candidate]))
-    return out
+            yield tuple([support(combo) for combo, _ in candidate])

@@ -4,10 +4,14 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 
-from tropdiff import SupportSet, cli
+from tropdiff import (ParseContext, SupportSet, cli, enumerate_solutions, parse_diff_poly,
+                      print_support, tropicalize_sample)
+from tropdiff import diffpoly
 from tropdiff.cli import main
 
 from gen import convex_position_set
@@ -439,6 +443,67 @@ class TestExamples:
         assert code == 0
         data = json.loads(out)
         assert all(e["pass"] for e in data["examples"])
+
+
+class TestStreaming:
+    SCAN = ["enumerate", "-m", "1", "--poly", "x[1]*x[0] - t*x[0]^2", "--derive-bound", "1"]
+
+    @pytest.mark.parametrize("m, n, polys, box, bound", [
+        (1, 1, ["x[1]*x[0] - t*x[0]^2"], (6,), 2),
+        (2, 1, ["x1[1,0]*x1[0,1] - x1[0,0]"], (2, 1), 1),
+        (1, 2, ["x1[1] - x2[0]", "x1[0]*x2[1] - t*x2[0]"], (3,), 1),
+        (2, 2, ["x1[1,0] - x2[0,0]"], (1, 1), 1),
+    ])
+    def test_enumerate_lines_follow_the_library_order(self, capsys, m, n, polys, box, bound):
+        argv = ["enumerate", "-m", str(m), "-n", str(n), "--box", ",".join(map(str, box)),
+                "--derive-bound", str(bound)]
+        code, out, _ = run(capsys, *argv, *[a for p in polys for a in ("--poly", p)])
+        ctx = ParseContext(arity=m, nvars=n)
+        sample = tropicalize_sample([parse_diff_poly(p, ctx) for p in polys], bound)
+        sols = enumerate_solutions(sample, box, nvars=n)
+        assert code == 0 and len(sols) > 1
+        assert out.splitlines() == [" ; ".join(map(print_support, t)) for t in sols] + [
+            f"{len(sols)} solution(s)"]
+
+    def test_enumerate_derives_on_numerators_only(self, capsys):
+        # supports are read off the engine: no entry is converted back to Fraction
+        with mock.patch.object(diffpoly, "_numerators", wraps=diffpoly._numerators) as num, \
+                mock.patch.object(diffpoly, "_from_numerators",
+                                  wraps=diffpoly._from_numerators) as back:
+            code, out, _ = run(capsys, *self.SCAN[:-1], "3", "--box", "(8)",
+                               "--poly", "1/2*x[1] - 3*x[0]")
+        assert code == 0 and out.endswith(" solution(s)\n")
+        assert num.call_count == 2 and not back.called
+
+    def test_check_writes_each_entry_as_it_is_tested(self, capsys, monkeypatch):
+        lines = []
+        derive = diffpoly._derive_form
+
+        def counting(*args):
+            lines.append(sys.stdout.getvalue().count("\n"))
+            return derive(*args)
+
+        monkeypatch.setattr(diffpoly, "_derive_form", counting)
+        code, out, _ = run(capsys, "check", "-m", "1", "--poly", "x[1] - x[0]",
+                           "--supports", "{}", "--derive-bound", "3")
+        assert code == 0 and out.count("  solution: true") == 4
+        # theta(0)P is tested and written before theta(1)P is derived, and so on
+        assert lines == [3, 6, 9]
+
+    def test_scan_memory_follows_one_level(self, monkeypatch):
+        # [0,15] has 2^16 components, at most C(16,8) of one size: at most two
+        # sizes of them are kept, and each solution is written as it is found
+        argv = [*self.SCAN, "--box", "15"]
+        with open(os.devnull, "w", encoding="utf-8") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            assert main([*self.SCAN, "--box", "1"]) == 0  # loads the command's modules
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 10 * 2**20, peak
 
 
 HELP = os.path.join(os.path.dirname(__file__), "help")

@@ -113,3 +113,66 @@ def test_truncated_coefficients_are_refused_and_the_cap_comes_first(p, bound):
         with pytest.raises(SampleCapError):
             next(derivative_sample(over, bound))
     assert not derive.called
+
+
+@st.composite
+def completions(draw):
+    """A polynomial with two exact completions: random tails at degrees >= N on each O(t^N)."""
+    p = draw(polys())
+
+    def complete():
+        terms = []
+        for mono, coef in p.terms:
+            tail = []
+            if coef.precision is not None:
+                for _ in range(draw(st.integers(0, 3))):
+                    point = [draw(st.integers(0, 2)) for _ in range(p.arity)]
+                    point[draw(st.integers(0, p.arity - 1))] += coef.precision
+                    tail.append((tuple(point), p.field(draw(FRACTIONS),
+                                                       draw(FRACTIONS) if p.field.d else 0)))
+            terms.append((mono, PowerSeries(p.arity, p.field, coef.terms + tuple(tail))))
+        return DiffPolynomial(p.arity, p.nvars, p.field, terms)
+
+    return p, complete(), complete()
+
+
+def assert_agrees_with_completions(p, full1, full2, bound):
+    """Unknown is not zero: what the engine reports of theta(J)P is true of
+    every exact completion of P, and a monomial on which two completions
+    differ is kept as unknown, never reported absent."""
+    exact1, exact2 = chains(full1, bound), chains(full2, bound)
+    for idx, got in zip(exact1, derivative_sample([p], bound)):
+        known = dict(got.terms)
+        for mono in {m for q in (got, exact1[idx], exact2[idx]) for m in q.monomials()}:
+            a, b = exact1[idx].coefficient(mono), exact2[idx].coefficient(mono)
+            if a != b:
+                assert mono in known and known[mono].precision is not None, (idx, mono)
+            if mono not in known:
+                assert a.is_zero and b.is_zero, (idx, mono)
+                continue
+            coef = known[mono]
+            for full in (a, b):
+                assert (full if coef.precision is None else full.truncate(coef.precision)) == coef
+
+
+@BUDGET
+@given(completions(), st.integers(0, 2))
+def test_truncated_sample_agrees_with_both_completions(case, bound):
+    assert_agrees_with_completions(*case, bound)
+
+
+def test_a_sum_of_parts_keeps_the_least_precision():
+    # theta(1) of a*x[0] + b*x[1] gives x[1] the parts a, of precision 4, and
+    # b', of precision 1: the tail of b reaches t^1, so x[1] is known below 1 only
+    def poly(a, b):
+        return DiffPolynomial(1, 1, Q, [(DiffMonomial.variable(1, (0,)), a),
+                                        (DiffMonomial.variable(1, (1,)), b)])
+
+    a, b = (PowerSeries(1, Q, [((e,), Q(1)) for e in range(n)]) for n in (4, 2))
+
+    def tail(n, c):  # terms at degrees >= n
+        return PowerSeries(1, Q, [((n,), Q(c)), ((n + 3,), Q(1))])
+
+    p = poly(a.truncate(4), b.truncate(2))
+    assert_agrees_with_completions(p, poly(a + tail(4, 1), b + tail(2, 1)),
+                                   poly(a + tail(4, 3), b + tail(2, 3)), 2)

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from tropdiff import (
+    RATIONALS,
     DiffMonomial,
+    DiffPolynomial,
     FieldSpec,
     ParseContext,
     ParseError,
@@ -288,6 +290,20 @@ class TestPrinting:
     def test_truncated_series_marker(self):
         s = PowerSeries.monomial(2, (1, 0), 1).truncate(3)
         assert print_series(s).endswith("+ O(3)")
+
+    def test_truncated_coefficients_print_their_precision(self):
+        # as print_series does, parenthesized: an unknown coefficient is not zero
+        x0 = DiffMonomial.variable(1, (0,))
+        p = DiffPolynomial(1, 1, RATIONALS, [(x0, PowerSeries.one(1).truncate(1))])
+        assert print_diff_poly(p) == "(1 + O(1))*x1[0]"
+        assert print_diff_poly(p.derive(1)) == "(0 + O(0))*x1[0] + (1 + O(1))*x1[1]"
+        coef = parse_series("-sqrtd*t2 + t1^3", CTX71).truncate(2)
+        mono = parse_diff_poly("x2[0,1]", CTX71).monomials()[0]
+        q = DiffPolynomial(2, 2, Q2, [(mono, coef), (DiffMonomial.one(), coef)])
+        assert print_diff_poly(q) == "(-sqrtd*t2 + O(2)) + (-sqrtd*t2 + O(2))*x2[0,1]"
+        # exact coefficients print as the DSL reads them
+        assert print_diff_poly(parse_diff_poly("-sqrtd*t2*x2[0,1] + x1[0,0]", CTX71)) == (
+            "x1[0,0] - sqrtd*t2*x2[0,1]")
 
     def test_zero_forms(self):
         assert print_series(PowerSeries.zero(2)) == "0"
