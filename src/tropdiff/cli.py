@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 for success (and solution: true), 1 for solution: false,
-2 for usage, parse, or capacity errors, and for any internal error.
+2 for usage, parse, or capacity errors, for any internal error, and,
+without a message, when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import DEFAULT_CANDIDATE_CAP, TropdiffError
@@ -244,7 +246,14 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit writes to the null device
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
     except (TropdiffError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -194,12 +194,11 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         """Iterated derivations per the multi-index `shift`; they stop at zero."""
         j = as_point(shift, self.arity)
         den, form = _numerators(self)
-        memo: dict = {}
         for k in range(self.arity):
             for _ in range(j[k]):
                 if not form:
                     break
-                form = _derive_form(form, k, memo)
+                form = _derive_form(form, k)
         return _from_numerators(self, den, form)
 
     # ---------------------------------------------------------------- evaluation
@@ -297,13 +296,13 @@ def _supports(form: dict) -> list[tuple[tuple, set[Point]]]:
     return [(exponents, {p for _, p in coef}) for exponents, (coef, _) in sorted(form.items())]
 
 
-def _derive_form(form: dict, i: int, memo: dict) -> dict:
+def _derive_form(form: dict, i: int) -> dict:
     """One derivation of a form along the 0-based axis i.
 
     alpha*E gives d(alpha)/dt_i*E, of precision N - 1, and, for each key
-    x_{v,J}^e of E, e*alpha*E*x_{v,J+e_i}/x_{v,J}; `memo` keeps those monomials
-    per (exponents, i) and x_{v,J+e_i} per (x_{v,J}, i).  The parts are summed
-    as by `DiffPolynomial._normal`.
+    x_{v,J}^e of E, e*alpha*E*x_{v,J+e_i}/x_{v,J}, built afresh from the
+    exponent counts, so the call keeps nothing but its result.  The parts
+    are summed as by `DiffPolynomial._normal`.
     """
     groups: dict = {}
     for exponents, (coef, prec) in form.items():
@@ -311,22 +310,11 @@ def _derive_form(form: dict, i: int, memo: dict) -> dict:
                  for (part, p), c in coef.items() if p[i]}
         dprec = None if prec is None else max(prec - 1, 0)
         groups.setdefault(exponents, []).append((deriv, dprec, 1))
-        bumped = memo.get((exponents, i))
-        if bumped is None:
-            bumped = memo[exponents, i] = []
-            for key, e in exponents:
-                up = memo.get((key, i))
-                if up is None:
-                    up = memo[key, i] = key.bump(i + 1)
-                counts = dict(exponents)
-                if e == 1:
-                    del counts[key]
-                else:
-                    counts[key] = e - 1
-                counts[up] = counts.get(up, 0) + 1
-                bumped.append((tuple(sorted(counts.items())), e))
-        for exps, e in bumped:
-            groups.setdefault(exps, []).append((coef, prec, e))
+        for key, e in exponents:
+            counts = {k: c - (k == key) for k, c in exponents if k != key or c > 1}
+            up = key.bump(i + 1)
+            counts[up] = counts.get(up, 0) + 1
+            groups.setdefault(tuple(sorted(counts.items())), []).append((coef, prec, e))
     out = {}
     for exponents, parts in groups.items():
         coef, prec, e = parts[0]
@@ -361,7 +349,6 @@ def _sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[tuple]:
     if size > MAX_SAMPLE_SIZE:
         raise SampleCapError(f"the derivative sample would hold {size} or more "
                              f"polynomials, exceeding the cap of {MAX_SAMPLE_SIZE}")
-    memo: dict = {}
     for p in polys:
         den, form = _numerators(p)
         # row[j] = theta(I_1, .., I_{j+1}, 0, .., 0)(P) for the current I
@@ -369,7 +356,7 @@ def _sample(polys: Iterable[DiffPolynomial], bound: int) -> Iterator[tuple]:
         for idx in itertools.product(range(bound + 1), repeat=p.arity):
             k = max((i for i, j in enumerate(idx) if j), default=None)
             if k is not None:
-                row[k:] = [_derive_form(row[k], k, memo)] * (p.arity - k)
+                row[k:] = [_derive_form(row[k], k)] * (p.arity - k)
             yield p, None if k is None else den, row[-1]
 
 

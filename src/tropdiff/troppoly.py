@@ -91,7 +91,7 @@ def eval_monomial(mono: TropMonomial, supports: Sequence[SupportSet], *,
         if not 1 <= key.var <= len(supports):
             raise ArityError(f"variable x{key.var} out of range")
     poly = TropPolynomial._trusted(arity, len(supports), ((mono, VertexSet.unit(arity)),))
-    return _product(mono, _valuations((poly,), supports), arity)
+    return _product(mono, _valuations(poly, supports, {}), arity)
 
 
 def tropicalize(poly: DiffPolynomial) -> TropPolynomial:
@@ -136,34 +136,23 @@ class SolutionReport(Value, namedtuple("SolutionReport", "evaluation witnesses s
     __slots__ = ()
 
 
-def _valuations(polys: Sequence[TropPolynomial], supports: Sequence[SupportSet],
-                vals: dict | None = None) -> dict:
-    """Val_J(S_i) for each key x_{i,J} of `polys`, after checking the supports.
-
-    Given `vals`, only the keys it lacks are computed, and added to it.
-    """
-    for p in polys:
-        if len(supports) != p.nvars:
-            raise ArityError(f"expected {p.nvars} support sets, got {len(supports)}")
-        if any(s.arity != p.arity for s in supports):
-            raise ArityError("support arity differs from polynomial arity")
-    keys = {key for p in polys for mono in p.monomials() for key, _ in mono.exponents}
-    vals = {} if vals is None else vals
-    vals.update({key: supports[key.var - 1].val(key.index) for key in keys - vals.keys()})
+def _valuations(poly: TropPolynomial, supports: Sequence[SupportSet], vals: dict) -> dict:
+    """`vals` plus Val_J(S_i) for each key x_{i,J} of `poly` it lacks, once the supports fit."""
+    if len(supports) != poly.nvars:
+        raise ArityError(f"expected {poly.nvars} support sets, got {len(supports)}")
+    if any(s.arity != poly.arity for s in supports):
+        raise ArityError("support arity differs from polynomial arity")
+    for key in {key for mono, _ in poly.terms for key, _ in mono.exponents} - vals.keys():
+        vals[key] = supports[key.var - 1].val(key.index)
     return vals
 
 
-def _report(poly: TropPolynomial, vals: dict, memo: dict) -> SolutionReport:
+def _report(poly: TropPolynomial, vals: dict) -> SolutionReport:
     """The vanishing test of `poly` at `vals`, a mapping of its keys to Val_J(S_i).
 
-    `memo` maps monomials to eps_M at `vals`; it gains those evaluated here.
+    The monomials of `poly` are distinct, so each eps_M is evaluated once.
     """
-    sets = []
-    for mono, coef in poly.terms:
-        v = memo.get(mono)
-        if v is None:
-            v = memo[mono] = _product(mono, vals, poly.arity)
-        sets.append(coef.odot(v))
+    sets = [coef.odot(_product(mono, vals, poly.arity)) for mono, coef in poly.terms]
     # Vert(union of the Vert T_i) = Vert(union of the T_i): one (+) over all terms
     evaluation = VertexSet._normal(poly.arity, [v for ts in sets for v in ts.points])
     witnesses = []
@@ -178,19 +167,19 @@ def _report(poly: TropPolynomial, vals: dict, memo: dict) -> SolutionReport:
 
 def is_solution(poly: TropPolynomial, supports: Sequence[SupportSet]) -> SolutionReport:
     """Tropical vanishing test for one polynomial at a support tuple."""
-    return _report(poly, _valuations((poly,), supports), {})
+    return _report(poly, _valuations(poly, supports, {}))
 
 
 def _reports(polys: Iterable[TropPolynomial], supports: Sequence[SupportSet]
              ) -> Iterator[tuple[TropPolynomial, SolutionReport]]:
     """Each member of a family with its vanishing test at `supports`, as it is read.
 
-    Each Val_J(S_i) is computed once, and each monomial is evaluated once.
+    Each Val_J(S_i) is computed once for the family; the monomials are
+    evaluated afresh for each member, so only the valuations are kept.
     """
     vals: dict = {}
-    memo: dict[TropMonomial, VertexSet] = {}
     for p in polys:
-        yield p, _report(p, _valuations((p,), supports, vals), memo)
+        yield p, _report(p, _valuations(p, supports, vals))
 
 
 def is_solution_system(
@@ -198,8 +187,8 @@ def is_solution_system(
 ) -> tuple[bool, tuple[SolutionReport, ...]]:
     """Conjunction of `is_solution` over a family; empty families hold trivially.
 
-    The supports are fixed, so each Val_J(S_i) is computed once for the
-    family, and each monomial is evaluated once.
+    The supports are fixed, so the members share one computation of each
+    Val_J(S_i); each member's monomials are evaluated as by `is_solution`.
     """
     reports = tuple([r for _, r in _reports(polys, supports)])
     return all(r.solution for r in reports), reports
@@ -365,7 +354,7 @@ def _solutions(polys: Iterable[TropPolynomial], box: Iterable[int], max_points: 
             verdict = memo.get(sig)
             if verdict is None:
                 vals = {k: val(v, k.index) for k, v in zip(keys, sig)}
-                verdict = memo[sig] = _report(p, vals, {}).solution
+                verdict = memo[sig] = _report(p, vals).solution
             if not verdict:
                 break
         else:

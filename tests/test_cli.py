@@ -505,6 +505,38 @@ class TestStreaming:
                 tracemalloc.stop()
         assert code == 0 and peak < 10 * 2**20, peak
 
+    def test_check_memory_follows_the_row(self, monkeypatch):
+        # the bundled request at bound 12 derives 3*13^2 entries; only the row
+        # of prefix derivatives and the valuations are kept, about 0.5 MiB
+        argv = ["check", "-m", "2", "-n", "2", "--sqrt", "2",
+                *[a for p in SYS_71.splitlines()[1:] for a in ("--poly", p)],
+                "--supports", f"{S1};{S2}", "--derive-bound"]
+        with open(os.devnull, "w", encoding="utf-8") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            assert main([*argv, "1"]) == 0  # loads the command's modules
+            tracemalloc.start()
+            try:
+                code = main([*argv, "12"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 2 * 2**20, peak
+
+    def test_closed_stdout_ends_quietly(self):
+        # the scan writes about 300 kB, more than a pipe holds: the writes
+        # after the reader is gone fail, and the run ends with 2 and no message
+        proc = subprocess.Popen([sys.executable, "-m", "tropdiff", *self.SCAN, "--box", "15"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.stdout.readline() == b"{}\n"
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=10), err) == (2, b"")
+        finally:
+            proc.kill()
+            proc.stderr.close()
+
 
 HELP = os.path.join(os.path.dirname(__file__), "help")
 COMMANDS = ["vertices", "trop", "eval", "derive", "check", "enumerate", "examples"]

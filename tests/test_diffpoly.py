@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -70,10 +71,22 @@ class TestTheta:
         calls = []
         derive = diffpoly._derive_form
         monkeypatch.setattr(diffpoly, "_derive_form",
-                            lambda form, i, memo: calls.append(i + 1) or derive(form, i, memo))
+                            lambda form, i: calls.append(i + 1) or derive(form, i))
         p = parse_diff_poly("t1^2 - 2*t1", CTX73)
         assert p.theta((50,)) == parse_diff_poly("0", CTX73)
         assert calls == [1, 1, 1]
+
+    def test_memory_follows_the_form(self):
+        # theta(40) of x^3 derives 40 forms; only the current one is kept
+        p = parse_diff_poly("x[0]^3", CTX73)
+        p.theta((2,))
+        tracemalloc.start()
+        try:
+            p.theta((40,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_derivations_commute(self):
         rng = random.Random(22)
@@ -230,9 +243,9 @@ class TestDerivativeSample:
         calls = []
         derive = diffpoly._derive_form
 
-        def counting(form, i, memo):
+        def counting(form, i):
             calls.append(i + 1)
-            return derive(form, i, memo)
+            return derive(form, i)
 
         monkeypatch.setattr(diffpoly, "_derive_form", counting)
         rng = random.Random(42)
@@ -250,7 +263,7 @@ class TestDerivativeSample:
 
     def test_cap_refused_before_any_derivation(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(diffpoly, "_derive_form", lambda form, i, memo: calls.append(i))
+        monkeypatch.setattr(diffpoly, "_derive_form", lambda form, i: calls.append(i))
         line = parse_diff_poly("x1[1] - x1[0]", CTX73)
         # exactly MAX_SAMPLE_SIZE entries are admitted, one more is refused
         assert next(derivative_sample([line], MAX_SAMPLE_SIZE - 1)) is line

@@ -221,8 +221,8 @@ class TestIsSolutionSystem:
         assert falses >= 30
 
     def test_reports_match_is_solution_per_member(self):
-        # the family shares its valuations and monomial memo; `is_solution`
-        # computes both afresh for each member
+        # the family shares its valuations; `is_solution` computes them
+        # afresh for each member
         rng = random.Random(67)
         verdicts = set()
         for _ in range(60):
