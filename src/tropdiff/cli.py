@@ -243,6 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact coefficients print in full: lift Python's 4300-digit limit on
+    # int-to-string conversion (3.11+) for this process
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -11,17 +11,15 @@ derivative of phi_i for x_{i,J}.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import ArityError, FieldError, PrecisionError, SampleCapError
 from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_count, as_natural, as_point
-from .series import PowerSeries, as_axis
+from .series import PowerSeries, _denominator, _form, _series, _sum, as_axis
 
 
 class DerivativeKey(namedtuple("DerivativeKey", "var index")):
@@ -261,32 +259,22 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
 
 # The derivation engine.  theta(I)(cP) = c*theta(I)P, so P is derived once
 # times `den`, the lcm of its coefficients' denominators, on integers only.  A
-# form maps each monomial's exponents to (map, precision); the map sends (part,
-# p) to the nonzero int part of the coefficient of t^p, 0 rational, 1 sqrt(d):
-# a + b*sqrt(d) = 0 iff a = b = 0, so its points are the coefficient's support.
+# form of P maps each monomial's exponents to (form, precision) of its
+# coefficient, in `series`' layout: the points of a coefficient's form are
+# its support.
 
 
 def _numerators(poly: DiffPolynomial) -> tuple[int, dict]:
     """`den` and the form of `poly` times `den`."""
-    den = math.lcm(*(c._denominator() for _, s in poly.terms for _, c in s.terms))
-    return den, {mono.exponents: ({(part, p): n for p, c in s.terms
-                                   for part, n in enumerate(c._numerators(den)) if n},
-                                  s.precision)
-                 for mono, s in poly.terms}
+    den = _denominator(t for _, s in poly.terms for t in s.terms)
+    return den, {mono.exponents: (_form(s.terms, den), s.precision) for mono, s in poly.terms}
 
 
 def _from_numerators(poly: DiffPolynomial, den: int, form: dict) -> DiffPolynomial:
     """The polynomial of a form of `poly`'s shape, divided by `den`."""
-    terms = []
-    for exponents, (coef, prec) in sorted(form.items()):
-        parts: dict[Point, list[int]] = {}
-        for (part, p), n in coef.items():
-            parts.setdefault(p, [0, 0])[part] = n
-        series = tuple((p, FieldElement._trusted(poly.field, Fraction(a, den), Fraction(b, den)))
-                       for p, (a, b) in sorted(parts.items()))
-        terms.append((DiffMonomial._trusted(exponents),
-                      PowerSeries._trusted(poly.arity, poly.field, series, prec)))
-    return DiffPolynomial._trusted(poly.arity, poly.nvars, poly.field, tuple(terms))
+    return DiffPolynomial._trusted(poly.arity, poly.nvars, poly.field, tuple(
+        (DiffMonomial._trusted(exponents), _series(poly.arity, poly.field, coef, prec, den))
+        for exponents, (coef, prec) in sorted(form.items())))
 
 
 def _supports(form: dict) -> list[tuple[tuple, set[Point]]]:
@@ -302,7 +290,7 @@ def _derive_form(form: dict, i: int) -> dict:
     alpha*E gives d(alpha)/dt_i*E, of precision N - 1, and, for each key
     x_{v,J}^e of E, e*alpha*E*x_{v,J+e_i}/x_{v,J}, built afresh from the
     exponent counts, so the call keeps nothing but its result.  The parts
-    are summed as by `DiffPolynomial._normal`.
+    are summed by `series._sum`.
     """
     groups: dict = {}
     for exponents, (coef, prec) in form.items():
@@ -319,13 +307,7 @@ def _derive_form(form: dict, i: int) -> dict:
     for exponents, parts in groups.items():
         coef, prec, e = parts[0]
         if len(parts) > 1 or e != 1:  # a lone map of factor 1 is shared, not copied
-            acc: dict = {}
-            for terms, p, e in parts:
-                for q, c in terms.items():
-                    acc[q] = acc.get(q, 0) + c * e
-                if p is not None and (prec is None or p < prec):
-                    prec = p
-            coef = {q: c for q, c in acc.items() if c and (prec is None or sum(q[1]) < prec)}
+            coef, prec = _sum(parts)
         if coef or prec is not None:
             out[exponents] = (coef, prec)
     return out

@@ -11,14 +11,8 @@ from collections import namedtuple
 from ._value import Value
 from .field import FieldSpec
 from .supports import SupportSet
-from .textio import (
-    ParseContext,
-    parse_diff_poly,
-    parse_series,
-    parse_support,
-    print_support,
-    print_vertex_set,
-)
+from .pointio import parse_support, print_support, print_vertex_set
+from .textio import ParseContext, parse_diff_poly, parse_series
 from .tropical import VertexSet
 from .troppoly import enumerate_solutions, is_solution, is_solution_system, tropicalize, tropicalize_sample
 

@@ -86,10 +86,6 @@ class FieldElement(Value, namedtuple("FieldElement", "field a b")):
             raise FieldError("irrational part in a plain rational field element")
         return cls._trusted(field, a, b)
 
-    def _scaled(self, n: int) -> "FieldElement":
-        """self * n for a Python int n, without coercing n into the field."""
-        return FieldElement._trusted(self.field, self.a * n, self.b * n if self.b else self.b)
-
     def _denominator(self) -> int:
         """The least common denominator of both parts."""
         return math.lcm(self.a.denominator, self.b.denominator)

@@ -12,9 +12,11 @@ truncated series cannot certify the absence of higher-degree terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import namedtuple
+from fractions import Fraction
 from typing import Iterable
 
 from ._value import Value, as_exponent, power
@@ -64,24 +66,14 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
     def _normal(cls, arity: int, field: FieldSpec,
                 parts: Iterable[tuple[Iterable[tuple[Point, FieldElement]], int | None]]
                 ) -> "PowerSeries":
-        """The sum of `(terms, precision)` parts in normal form.
+        """The sum of `(terms, precision)` parts in the normal form of `_sum`, sorted.
 
-        Like terms are summed and the least precision is kept; zero sums and
-        terms of total degree at or beyond it are dropped, the rest sorted.
-        The points must be valid and of `arity`, the coefficients elements
-        of `field`.
+        The parts must be sequences, their points valid and of `arity`, the
+        coefficients elements of `field`.
         """
-        acc: dict[Point, FieldElement] = {}
-        prec = None
-        for terms, p in parts:
-            if p is not None and (prec is None or p < prec):
-                prec = p
-            for q, c in terms:
-                s = acc.get(q)
-                acc[q] = c if s is None else s + c
-        kept = tuple((q, c) for q, c in sorted(acc.items())
-                     if c and (prec is None or sum(q) < prec))
-        return cls._trusted(arity, field, kept, prec)
+        den = _denominator(t for terms, _ in parts for t in terms)
+        form, prec = _sum((_form(terms, den), p, 1) for terms, p in parts)
+        return _series(arity, field, form, prec, den)
 
     # ---------------------------------------------------------------- factories
 
@@ -160,19 +152,18 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)
-        products = ((tuple(map(operator.add, p, q)), c * e)
-                    for p, c in self.terms for q, e in other.terms)
-        return PowerSeries._normal(self.arity, self.field, ((products, _prod_prec(self, other)),))
+        dx, dy = _denominator(self.terms), _denominator(other.terms)
+        y = _form(other.terms, dy)
+        # the term a*t^p of part i adds a*t^p*y, or a*t^p*sqrt(d)*y, where
+        # sqrt(d)*(c + e*sqrt(d)) = ed + c*sqrt(d)
+        ys = (y, {(1 - j, q): b * self.field.d if j else b for (j, q), b in y.items()})
+        shifted = (({(j, tuple(map(operator.add, p, q))): b for (j, q), b in ys[i].items()},
+                    None, a) for (i, p), a in _form(self.terms, dx).items())
+        form, prec = _sum(itertools.chain((({}, _prod_prec(self, other), 1),), shifted))
+        return _series(self.arity, self.field, form, prec, dx * dy)
 
     def scalar_mul(self, c) -> "PowerSeries":
-        c = self.field.coerce(c)
-        if c.is_zero:
-            return PowerSeries.zero(self.arity, self.field)
-        # a field has no zero divisors: the terms stay nonzero and in order
-        return PowerSeries._trusted(
-            self.arity, self.field,
-            tuple((p, c * v) for p, v in self.terms), self.precision,
-        )
+        return self * PowerSeries.constant(self.arity, c, self.field)
 
     def __pow__(self, n: int) -> "PowerSeries":
         return power(self, as_exponent(n, "series"), PowerSeries.one(self.arity, self.field),
@@ -197,14 +188,12 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
         the other terms vanish.  A precision N becomes max(N - |J|, 0).
         """
         j = as_point(shift, self.arity)
-        terms = []
-        for p, c in self.terms:
-            if all(map(operator.ge, p, j)):
-                n = math.prod(map(math.perm, p, j))
-                terms.append((tuple(map(operator.sub, p, j)), c._scaled(n)))
+        den = _denominator(self.terms)
+        form = {(part, tuple(map(operator.sub, p, j))): n * math.prod(map(math.perm, p, j))
+                for (part, p), n in _form(self.terms, den).items() if all(map(operator.ge, p, j))}
+        # p -> p - J lowers every degree by |J|, so every term stays below prec
         prec = None if self.precision is None else max(self.precision - sum(j), 0)
-        # p -> p - J keeps the order and lowers every degree by |J|
-        return PowerSeries._trusted(self.arity, self.field, tuple(terms), prec)
+        return _series(self.arity, self.field, form, prec, den)
 
     # ---------------------------------------------------------------- tropical side
 
@@ -247,3 +236,49 @@ def _prod_prec(x: PowerSeries, y: PowerSeries) -> int | None:
     if x.precision is not None and y.precision is not None:
         cands.append(x.precision + y.precision)
     return min(cands) if cands else None
+
+
+# The exact kernel.  A coefficient family times `den`, a common multiple of
+# its denominators, is a form: a map sending (part, p) to the nonzero int
+# part of the coefficient of t^p, part 0 rational and part 1 sqrt(d).  As
+# a + b*sqrt(d) = 0 iff a = b = 0, a form's points are the support.  Series
+# sums, products and derivatives, and the derivation engine of `diffpoly`,
+# run on forms; a value is converted back once, by `_series`.
+
+
+def _denominator(terms: Iterable[tuple[Point, FieldElement]]) -> int:
+    """The least common denominator of every coefficient of `terms`."""
+    return math.lcm(*(c._denominator() for _, c in terms))
+
+
+def _form(terms: Iterable[tuple[Point, FieldElement]], den: int) -> dict:
+    """The form of `terms` times `den`, a multiple of their `_denominator`."""
+    return {(part, p): n for p, c in terms for part, n in enumerate(c._numerators(den)) if n}
+
+
+def _sum(parts: Iterable[tuple[dict, int | None, int]]) -> tuple[dict, int | None]:
+    """The series normal form of the sum of `(form, precision, factor)` parts.
+
+    Each form is weighted by its int `factor`.  Like terms are summed and the
+    least precision is kept; zero sums and points of total degree at or
+    beyond it are dropped.  Returns the form and the precision of the sum.
+    """
+    acc: dict = {}
+    prec = None
+    for form, p, e in parts:
+        if p is not None and (prec is None or p < prec):
+            prec = p
+        for q, c in form.items():
+            acc[q] = acc.get(q, 0) + c * e
+    return {q: c for q, c in acc.items() if c and (prec is None or sum(q[1]) < prec)}, prec
+
+
+def _series(arity: int, field: FieldSpec, form: dict, precision: int | None,
+            den: int) -> "PowerSeries":
+    """The series of a form in normal form, divided by `den`."""
+    coefs: dict[Point, list[int]] = {}
+    for (part, p), n in form.items():
+        coefs.setdefault(p, [0, 0])[part] = n
+    return PowerSeries._trusted(arity, field, tuple(
+        (p, FieldElement._trusted(field, Fraction(a, den), Fraction(b, den)))
+        for p, (a, b) in sorted(coefs.items())), precision)

@@ -24,8 +24,10 @@ print identically and `parse(print(v)) == v` for exact series and every
 other value.  A truncated series prints a trailing `+ O(N)`, which the
 grammar above does not read.
 
-The geometry entry points, printers and JSON forms are `pointio`'s, and
-are the same objects here.
+The geometry entry points, printers and JSON forms are `pointio`'s and
+are imported from there; `parse_point`, `parse_support` and
+`parse_vertex_set` are also bound here, where the benchmark's per-layer
+tracer looks them up.
 """
 
 from __future__ import annotations
@@ -40,19 +42,8 @@ from .diffpoly import DerivativeKey, DiffMonomial, DiffPolynomial
 from .errors import FieldError, ParseError
 from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_count
-from .pointio import (  # noqa: F401  (the geometry names are re-exported)
-    _PointParser,
-    parse_point,
-    parse_support,
-    parse_supports,
-    parse_vertex_set,
-    print_point,
-    print_point_set,
-    print_support,
-    print_vertex_set,
-    support_to_json,
-    vertex_set_to_json,
-)
+from .pointio import _PointParser, print_point, print_point_set, vertex_set_to_json
+from .pointio import parse_point, parse_support, parse_vertex_set  # noqa: F401  (traced)
 from .series import PowerSeries
 from .troppoly import SolutionReport, TropMonomial, TropPolynomial
 from .tropical import VertexSet

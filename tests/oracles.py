@@ -27,12 +27,13 @@ every term through the public, validating constructors and lets
 `DiffPolynomial` sum them, where the library sums in plain dicts and
 builds each value once without re-validating it.
 
-`pairs_of`, `pairs_add`, `pairs_mul` and `pairs_truncate` redo series
-arithmetic on plain `{point: (a, b)}` dicts of `Fraction` pairs, with the
-normal form and the precision rules written out again, so they share no
-code with `PowerSeries` or `FieldElement` arithmetic; `derive_validated`
-cannot serve there, as the public constructor now sums through the same
-normalizer as `+`, `*` and `truncate`.
+`pairs_of`, `pairs_add`, `pairs_mul`, `pairs_truncate` and `pairs_theta`
+redo series arithmetic on plain `{point: (a, b)}` dicts of `Fraction`
+pairs, with the normal form and the precision rules written out again, so
+they share no code with `PowerSeries` or `FieldElement` arithmetic, nor
+with the integer kernel under both; `derive_validated` cannot serve
+there, as the public constructor now sums through the same normalizer as
+`+`, `*`, `truncate` and `theta`.
 
 `power_repeated` is the retired power loop of the parser's `^`,
 `PowerSeries.__pow__`, `FieldElement.__pow__` and `SupportSet.n_fold`: it
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 from typing import Sequence
 
 from tropdiff import (
@@ -326,3 +328,19 @@ def pairs_mul(x: tuple, y: tuple, d: int | None) -> tuple:
 
 def pairs_truncate(x: tuple, n: int) -> tuple:
     return _pairs_normal(dict(x[0]), _least(x[1], n))
+
+
+def pairs_theta(x: tuple, shift: Sequence[int]) -> tuple:
+    """The derivative of order J = `shift`, weighted by factorials.
+
+    t^p with p >= J moves to t^(p-J) with the weight prod p_k!/(p_k - J_k)!,
+    the other terms vanish, and a precision N becomes max(N - |J|, 0).
+    """
+    acc: dict = {}
+    for p, (a, b) in x[0]:
+        if all(i >= j for i, j in zip(p, shift)):
+            w = 1
+            for i, j in zip(p, shift):
+                w *= factorial(i) // factorial(i - j)
+            acc[tuple(i - j for i, j in zip(p, shift))] = (a * w, b * w)
+    return _pairs_normal(acc, None if x[1] is None else max(x[1] - sum(shift), 0))

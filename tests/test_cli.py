@@ -1,4 +1,7 @@
+import contextlib
+import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -430,6 +433,59 @@ class TestEvalDeriveEnumerate:
         with_parens = run(capsys, *argv)
         assert with_parens[0] == 0 and with_parens[1]
         assert run(capsys, *bare) == with_parens
+
+
+def timed_process(*argv, budget):
+    """`run_process(*argv)` and its wall time, which must stay below `budget` seconds."""
+    t0 = time.perf_counter()
+    proc = run_process(*argv, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < budget, f"{elapsed:.2f}s exceeds the budget of {budget}s"
+    return proc
+
+
+@contextlib.contextmanager
+def long_int_strings():
+    """Lift Python's limit on int-to-string digits (3.11+) inside the block."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestLargeExactValues:
+    # (1+t1)^2000 has 2001 terms of up to 601 digits; with products on
+    # integer forms each request takes about 2 s on a 2-CPU machine, and
+    # 14.7 s with products on validated Fraction pairs
+    def test_trop_of_a_dense_power(self):
+        proc = timed_process("trop", "-m", "1", "--poly", "(1+t1)^2000*x[0]", budget=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{(0)}*x1[0]\n", "")
+
+    def test_eval_at_a_dense_power(self):
+        proc = timed_process("eval", "-m", "1", "--poly", "x[0]^2000", "--at", "1+t1", budget=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        digest = hashlib.md5(proc.stdout.encode()).hexdigest()
+        assert (len(proc.stdout), digest) == (887261, "633b16cdfda098248334d69e9cb54d7b")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficients_past_the_int_digit_limit(self, fmt):
+        # 2000! has 5736 digits; Python 3.11+ refuses str() of an int of
+        # more than 4300 unless the process lifts the limit
+        proc = run_process("derive", "-m", "1", "--index", "2000", "--series", "t^2000",
+                           "--format", fmt)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if fmt == "json":
+            [term] = json.loads(proc.stdout)["terms"]
+            assert (term["exponent"], term["b"]) == ([0], "0")
+            digits = term["a"]
+        else:
+            digits = proc.stdout.removesuffix("\n")
+        with long_int_strings():
+            assert digits == str(math.factorial(2000))
 
 
 class TestExamples:

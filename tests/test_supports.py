@@ -10,7 +10,7 @@ from tropdiff import (
     member_newton,
     print_support,
 )
-from tropdiff.textio import support_to_json
+from tropdiff.pointio import support_to_json
 
 from gen import rand_point, rand_series, rand_support
 from oracles import grid_box, orthant_contained_box, vertices_by_surrogates

@@ -26,15 +26,13 @@ from tropdiff import (
     print_vertex_set,
     tropicalize,
 )
+from tropdiff.pointio import parse_point, parse_supports, support_to_json
 from tropdiff.textio import (
     MAX_NESTING,
     diff_poly_to_json,
-    parse_point,
     parse_series_tuple,
-    parse_supports,
     report_to_json,
     series_to_json,
-    support_to_json,
     trop_poly_to_json,
 )
 from tropdiff.troppoly import is_solution
