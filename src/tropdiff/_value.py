@@ -12,13 +12,21 @@ unless its class defines them.
 fields as `V.__new__` would leave them, without the checks, so each class
 states what a field must already be in its docstring or its `_normal`'s.
 
+`V._check(other)` is the one operand check of a binary operation: `other`
+must be a `V` too, and each of the fields `arity`, `nvars` and `field` that
+`V` has must be equal in both.  A foreign operand raises `TypeError`, a
+mismatched field `FieldError`, and a mismatched arity or variable count
+`ArityError`.
+
 `power` is the one square-and-multiply routine, for any associative product,
 and `as_exponent` the one check of its exponent; they live here, importing
-only `operator`, so the lattice layer uses them without loading the
-coefficient fields.
+only `operator` and the error types, so the lattice layer uses them without
+loading the coefficient fields.
 """
 
 import operator
+
+from .errors import ArityError, FieldError
 
 
 def as_exponent(n: int, kind: str) -> int:
@@ -69,6 +77,15 @@ class Value:
     @classmethod
     def _trusted(cls, *fields):
         return tuple.__new__(cls, fields)
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"unsupported operand types: {type(self).__name__!r} "
+                            f"and {type(other).__name__!r}")
+        for name in self._fields:
+            if name in ("arity", "nvars", "field") and getattr(self, name) != getattr(other, name):
+                raise (FieldError if name == "field" else ArityError)(
+                    f"mixed {name}: {getattr(self, name)!r} and {getattr(other, name)!r}")
 
     def __reduce__(self):
         # pickle and copy rebuild the value through its validating __new__

@@ -152,12 +152,6 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
 
     # ---------------------------------------------------------------- ring ops
 
-    def _check(self, other: "DiffPolynomial") -> None:
-        if (self.arity, self.nvars) != (other.arity, other.nvars):
-            raise ArityError("mixed arities or variable counts")
-        if self.field != other.field:
-            raise FieldError("mixed coefficient fields")
-
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         self._check(other)
         groups: dict[tuple[tuple[DerivativeKey, int], ...], list] = {}
@@ -166,8 +160,8 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         return DiffPolynomial._normal(self.arity, self.nvars, self.field, groups)
 
     def __neg__(self) -> "DiffPolynomial":
-        return DiffPolynomial._normal(self.arity, self.nvars, self.field, {
-            mono.exponents: [((-coef).terms, coef.precision)] for mono, coef in self.terms})
+        return DiffPolynomial._trusted(self.arity, self.nvars, self.field,
+                                       tuple((mono, -coef) for mono, coef in self.terms))
 
     def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         return self + (-other)
@@ -229,7 +223,7 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
         their constant term after the differentiation.
         """
         q = self.theta(shift)
-        groups = {}
+        terms = []
         origin = (0,) * self.arity
         for mono, coef in q.terms:
             if coef.precision is not None and coef.precision < 1:
@@ -238,8 +232,9 @@ class DiffPolynomial(Value, namedtuple("DiffPolynomial", "arity nvars field term
                 )
             c0 = coef.coeff(origin)
             if not c0.is_zero:
-                groups[mono.exponents] = [(((origin, c0),), None)]
-        return DiffPolynomial._normal(self.arity, self.nvars, self.field, groups)
+                terms.append((mono, PowerSeries._trusted(self.arity, self.field,
+                                                         ((origin, c0),), None)))
+        return DiffPolynomial._trusted(self.arity, self.nvars, self.field, tuple(terms))
 
     def eval_at_constants(self, values: Callable[[int, Point], FieldElement]) -> FieldElement:
         """Evaluate a constant-coefficient polynomial at numbers x_{i,J} = values(i, J)."""

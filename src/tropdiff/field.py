@@ -133,14 +133,11 @@ class FieldElement(Value, namedtuple("FieldElement", "field a b")):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self.field.d
-        if d is None:
-            return FieldElement._trusted(self.field, self.a * o.a, self.b)  # b = 0 over Q
-        if not o.b:
-            return FieldElement._trusted(self.field, self.a * o.a, self.b * o.a)
+        # (a + b*sqrt(d))(c + e*sqrt(d)) = (ac + bed) + (ae + bc)*sqrt(d), d = 0 over Q
+        d = self.field.d or 0
         return FieldElement._trusted(
             self.field,
-            self.a * o.a + d * self.b * o.b,
+            self.a * o.a + self.b * d * o.b,
             self.a * o.b + self.b * o.a,
         )
 
@@ -155,10 +152,8 @@ class FieldElement(Value, namedtuple("FieldElement", "field a b")):
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero field element")
-        d = self.field.d
-        if d is None:
-            return FieldElement(self.field, self.a / o.a)
-        norm = o.a * o.a - d * o.b * o.b  # nonzero: sqrt(d) is irrational
+        # nonzero: sqrt(d) is irrational, and d = 0 over Q leaves a^2
+        norm = o.a * o.a - (self.field.d or 0) * o.b * o.b
         return (self * o.conjugate()) * FieldElement(self.field, 1 / norm)
 
     def __rtruediv__(self, other):

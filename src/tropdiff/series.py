@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from ._value import Value, as_exponent, power
-from .errors import ArityError, FieldError, PrecisionError
+from .errors import ArityError, PrecisionError
 from .field import RATIONALS, FieldElement, FieldSpec
 from .lattice import Point, as_count, as_natural, as_point
 from .supports import SupportSet
@@ -129,12 +129,6 @@ class PowerSeries(Value, namedtuple("PowerSeries", "arity field terms precision"
         return min(sum(p) for p, _ in self.terms)
 
     # ---------------------------------------------------------------- arithmetic
-
-    def _check(self, other: "PowerSeries") -> None:
-        if self.arity != other.arity:
-            raise ArityError(f"mixed arities {self.arity} and {other.arity}")
-        if self.field != other.field:
-            raise FieldError(f"mixed fields {self.field} and {other.field}")
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)

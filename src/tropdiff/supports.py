@@ -24,7 +24,6 @@ from collections import namedtuple
 from typing import Iterable
 
 from ._value import Value, as_exponent, power
-from .errors import ArityError
 from .lattice import Point, _minimal, add, as_count, as_point, canon, leq
 from .tropical import VertexSet
 
@@ -89,10 +88,6 @@ class SupportSet(Value, namedtuple("SupportSet", "arity explicit cones")):
         q = as_point(p, self.arity)
         return q in self.explicit or any(leq(g, q) for g in self.cones)
 
-    def _check(self, other: "SupportSet") -> None:
-        if self.arity != other.arity:
-            raise ArityError(f"mixed arities {self.arity} and {other.arity}")
-
     def union(self, other: "SupportSet") -> "SupportSet":
         self._check(other)
         return SupportSet(
@@ -104,8 +99,6 @@ class SupportSet(Value, namedtuple("SupportSet", "arity explicit cones")):
     def minkowski(self, other: "SupportSet") -> "SupportSet":
         """Pointwise sums {x + y}; any block touching a cone stays a cone."""
         self._check(other)
-        if self.is_empty or other.is_empty:
-            return SupportSet.empty(self.arity)
         expl = tuple(add(p, q) for p in self.explicit for q in other.explicit)
         gens = (
             tuple(add(p, g) for p in self.explicit for g in other.cones)

@@ -15,7 +15,6 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from ._value import Value, as_exponent
-from .errors import ArityError
 from .lattice import Point, _vertices_cached, add, as_count, as_point, canon
 
 
@@ -65,10 +64,6 @@ class VertexSet(Value, namedtuple("VertexSet", "arity points")):
 
     def __bool__(self) -> bool:
         return bool(self.points)
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.arity != other.arity:
-            raise ArityError(f"mixed arities {self.arity} and {other.arity}")
 
     def oplus(self, other: "VertexSet") -> "VertexSet":
         """Tropical sum: vertex set of the union."""

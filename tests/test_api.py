@@ -221,6 +221,23 @@ def test_membership_core_is_called_only_by_its_two_users():
     assert _package_owners(_calls("member_newton")) == []
 
 
+# Operands have one check: `Value._check` refuses an operand of another type
+# and a mismatched arity, variable count or field, for each of the binary
+# operations of the value types.
+CHECK_CALLERS = ["diffpoly.py:DiffPolynomial.__add__", "diffpoly.py:DiffPolynomial.__mul__",
+                 "series.py:PowerSeries.__add__", "series.py:PowerSeries.__mul__",
+                 "supports.py:SupportSet.union", "supports.py:SupportSet.minkowski",
+                 "tropical.py:VertexSet.oplus", "tropical.py:VertexSet.odot"]
+
+
+def test_one_operand_check():
+    def defines_check(node):
+        return isinstance(node, ast.FunctionDef) and node.name == "_check"
+
+    assert _package_owners(defines_check) == ["_value.py:Value"]
+    assert _package_owners(_calls("_check")) == CHECK_CALLERS
+
+
 # Outside input enters through pointio.py, textio.py and cli.py, so it must
 # go through the validating constructors there; the `_trusted` ones and the
 # normal forms `PowerSeries._normal`, `DiffPolynomial._normal` and

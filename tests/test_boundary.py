@@ -9,7 +9,8 @@ tropical or field power (an int >= 0), `DerivativeKey` for variable
 numbers, `DiffMonomial` for monomial exponents, `FieldElement` for scalar
 parts and `FieldSpec` for `d`.  Each row reaches that owner through a
 different public entry point.  Values of different arities, variable
-counts or fields are refused too, never combined.
+counts or fields are refused too, never combined, and so is an operand of
+another type: `Value._check` owns both rules for every binary operation.
 """
 
 import pytest
@@ -93,6 +94,11 @@ REFUSED = [
     ("series-mixed-field", lambda: PowerSeries(1) * PowerSeries(1, Q2), FieldError),
     ("poly-mixed-nvars", lambda: DiffPolynomial(1, 1) + DiffPolynomial(1, 2), ArityError),
     ("poly-mixed-field", lambda: DiffPolynomial(1, 1) * DiffPolynomial(1, 1, Q2), FieldError),
+    ("vertex-odot-mixed-arity", lambda: VertexSet(1).odot(VertexSet(2)), ArityError),
+    ("support-minkowski-mixed-arity", lambda: SupportSet(1).minkowski(SupportSet(2)),
+     ArityError),
+    ("series-add-mixed-field", lambda: PowerSeries(1) + PowerSeries(1, Q2), FieldError),
+    ("poly-mixed-arity", lambda: DiffPolynomial(1, 1) * DiffPolynomial(2, 1), ArityError),
     ("key-var-out-of-range",
      lambda: DiffPolynomial(1, 1, RATIONALS, [(DiffMonomial.variable(2, (0,)), ONE)]),
      ArityError),
@@ -120,6 +126,24 @@ REFUSED = [
     ("taylor-unknown", lambda: UNKNOWN.taylor_coeff_poly((1,)), PrecisionError),
 ]
 
+# Each binary operation and a value of another type than its own, next to
+# an int, a field element and a list of points as foreign operands.
+OPERATIONS = [
+    ("vertex-oplus", lambda x: VertexSet(1).oplus(x), SupportSet(1)),
+    ("vertex-odot", lambda x: VertexSet(1).odot(x), SupportSet(1)),
+    ("support-union", lambda x: SupportSet(1).union(x), VertexSet(1)),
+    ("support-minkowski", lambda x: SupportSet(1).minkowski(x), VertexSet(1)),
+    ("series-add", lambda x: PowerSeries(1) + x, DiffPolynomial(1, 1)),
+    ("series-mul", lambda x: PowerSeries(1) * x, VertexSet(1)),
+    ("poly-add", lambda x: DiffPolynomial(1, 1) + x, PowerSeries(1)),
+    ("poly-mul", lambda x: DiffPolynomial(1, 1) * x, PowerSeries(1)),
+]
+REFUSED += [
+    (f"{name}-{kind}", lambda op=op, x=x: op(x), TypeError)
+    for name, op, value in OPERATIONS
+    for kind, x in [("int", 2), ("element", RATIONALS.one), ("points", [(1,)]), ("value", value)]
+]
+
 
 @pytest.mark.parametrize(
     "build, error", [row[1:] for row in REFUSED], ids=[row[0] for row in REFUSED]
@@ -136,6 +160,16 @@ def test_dimension_messages():
         ParseContext(arity=0)
     with pytest.raises(ArityError, match=r"^nvars must be >= 1, got 0$"):
         ParseContext(arity=1, nvars=0)
+
+
+def test_operand_messages():
+    with pytest.raises(ArityError, match=r"^mixed nvars: 1 and 2$"):
+        DiffPolynomial(1, 1) + DiffPolynomial(1, 2)
+    with pytest.raises(FieldError,
+                       match=r"^mixed field: FieldSpec\(d=None\) and FieldSpec\(d=2\)$"):
+        PowerSeries(1) * PowerSeries(1, Q2)
+    with pytest.raises(TypeError, match=r"^unsupported operand types: 'PowerSeries' and 'int'$"):
+        PowerSeries(1) * 2
 
 
 def test_a_bool_arity_is_an_int():
